@@ -33,7 +33,7 @@ from .engines import (
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from .logio import run_jsonl, summary_dict
-from .verifiers import CexStrategy
+from .verifiers import FIRST_FOUND, CexStrategy
 
 
 class ConfigError(ValueError):
@@ -42,8 +42,12 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     """Flat key = value file, TOML-compatible for the keys we accept."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -58,6 +62,8 @@ def _build_family(name: str, universe_bound: Optional[int]):
     if name == "chain":
         return ChainFamily() if universe_bound is None else ChainFamily(universe_bound - 2)
     if name == "rectangle":
+        if universe_bound is not None:
+            raise ConfigError("rectangle takes no universe bound: its grid fixes it")
         return RectangleFamily()
     if name == "diagonal":
         return DiagonalFamily() if universe_bound is None else DiagonalFamily(universe_bound)
@@ -122,19 +128,28 @@ def _out_dir(arg: Optional[str]) -> Path:
     return path
 
 
+def _check_budget(budget: int) -> int:
+    if budget < 1:
+        raise ConfigError(f"budget must be a positive integer, got {budget}")
+    return budget
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
 
-    def pick(flag_value, key, cast=str):
+    def pick(flag_value, key, cast=str, default=None):
         if flag_value is not None:
             return flag_value
         if key in cfg:
-            return cast(cfg[key])
-        return None
+            try:
+                return cast(cfg[key])
+            except ValueError:
+                raise ConfigError(f"config {key} = {cfg[key]!r} is not an integer") from None
+        return default
 
     family_name = pick(args.family, "family")
     target_spec = pick(args.target, "target")
-    engine = pick(args.engine, "engine") or CEGIS
+    engine = pick(args.engine, "engine", default=CEGIS)
     if family_name is None or target_spec is None:
         raise ConfigError("run requires --family and --target")
     if engine not in (CEGIS, MINCEGIS, HCEGIS, POSITIVE_ONLY, SIMULATED_MINCEGIS):
@@ -143,13 +158,16 @@ def cmd_run(args) -> int:
     family = _build_family(family_name, pick(args.universe_bound, "universe_bound", int))
     target = _build_target(family, family_name, target_spec)
     generalizer = _build_generalizer(family_name, family, pick(args.generalizer, "generalizer"))
-    seed = pick(args.seed, "seed", int) or 0
-    budget = pick(args.budget, "budget", int) or harness.default_budget(target)
-    strategy = CexStrategy(kind=pick(args.strategy, "strategy") or "first-found", seed=seed)
-    schedule = pick(args.schedule, "schedule") or CANONICAL
+    seed = pick(args.seed, "seed", int, default=0)
+    budget = _check_budget(pick(args.budget, "budget", int, harness.default_budget(target)))
+    schedule = pick(args.schedule, "schedule", default=CANONICAL)
     window = min(harness.default_stability_window(target), budget)
-
-    trace = trace_generate(target, schedule, seed=seed, length=budget)
+    try:
+        strategy = CexStrategy(kind=pick(args.strategy, "strategy", default=FIRST_FOUND),
+                               seed=seed)
+        trace = trace_generate(target, schedule, seed=seed, length=budget)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if engine == SIMULATED_MINCEGIS:
         run = simulate_min_via_arbitrary(
             target, trace, generalizer, strategy, budget=budget, stability_window=window,
@@ -182,13 +200,18 @@ def cmd_run(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.name not in harness.DEMOS:
-        print(f"unknown demo: {args.name}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"unknown demo: {args.name}")
     kwargs = {}
-    if args.name == "lemma1" and args.imax is not None:
+    if args.imax is not None:
+        if args.name != "lemma1":
+            raise ConfigError(f"demo {args.name} takes no --imax")
+        if not 0 <= args.imax <= ChainFamily().max_index:
+            raise ConfigError(f"--imax must be in [0, {ChainFamily().max_index}]")
         kwargs["i_max"] = args.imax
-    if args.budget is not None and args.name in ("lemma1", "lemma2", "rectangle", "gold"):
-        kwargs["budget"] = args.budget
+    if args.budget is not None:
+        if args.name == "theorem1":
+            raise ConfigError("demo theorem1 takes no --budget")
+        kwargs["budget"] = _check_budget(args.budget)
     report = harness.DEMOS[args.name](**kwargs)
 
     out = _out_dir(args.out)
@@ -256,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its error; 2 is "stalled" here
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except ConfigError as exc:

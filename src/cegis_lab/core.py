@@ -153,22 +153,42 @@ def explicit_language(
     )
 
 
-@dataclass(frozen=True)
 class Trace:
     """A finite prefix of a presentation of positive examples.
+
+    ``Trace(entries)`` holds the given entries.  A trace from
+    ``trace_generate`` makes its entries on demand, one block at a time
+    from the schedule's RNG stream, so reading entry i costs only the
+    entries up to i, and every prefix equals the one made eagerly.
+    ``len`` is the requested length and makes nothing.
 
     ``target_hint`` is harness bookkeeping only and must never reach an
     engine or a log.
     """
 
-    entries: tuple[TraceEntry, ...]
-    target_hint: Optional[str] = None
+    def __init__(self, entries: Iterable[TraceEntry] = (), target_hint: Optional[str] = None):
+        self._made: list[TraceEntry] = list(entries)
+        self._length = len(self._made)
+        self._blocks: Iterator[list[TraceEntry]] = iter(())
+        self.target_hint = target_hint
+
+    def __getitem__(self, i: int) -> TraceEntry:
+        if not 0 <= i < self._length:
+            raise IndexError(f"trace index {i} outside [0, {self._length})")
+        made = self._made
+        while len(made) <= i:
+            made.extend(next(self._blocks))
+        return made[i]
+
+    @property
+    def entries(self) -> tuple[TraceEntry, ...]:
+        return self.prefix(self._length)
 
     def prefix(self, k: int) -> tuple[TraceEntry, ...]:
-        return self.entries[:k]
+        return tuple(self[i] for i in range(self._length)[:k])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._length
 
 
 def smpl(entries: Iterable[TraceEntry]) -> frozenset:
@@ -226,36 +246,43 @@ def trace_generate(
     (all padding for an empty language).  padded-seeded: repeated shuffled
     passes over the members with interleaved padding, so every member
     recurs within a computable horizon.
+
+    Bad arguments raise here; the entries are made as they are read (see
+    ``Trace``), in the RNG order of an eager pass, so every prefix is the
+    same as that pass would give.
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule: {schedule}")
     if length == 0:
-        return Trace(entries=(), target_hint=target_hint)
+        return Trace(target_hint=target_hint)
     members = sorted(language.members())
+    if schedule == CANONICAL and not members:
+        raise EmptyLanguageError(
+            f"canonical schedule needs a nonempty language: {language.descriptor}"
+        )
+    trace = Trace(target_hint=target_hint)
+    trace._length = max(length, 0)
+    trace._blocks = _blocks(schedule, members, random.Random(seed))
+    return trace
 
+
+def _blocks(schedule: str, members: list[int], rng: random.Random) -> Iterator[list]:
+    """The schedule's entries, block by block, without end."""
     if schedule == CANONICAL:
-        if not members:
-            raise EmptyLanguageError(
-                f"canonical schedule needs a nonempty language: {language.descriptor}"
-            )
-        entries = [members[i] if i < len(members) else members[-1] for i in range(length)]
-        return Trace(entries=tuple(entries), target_hint=target_hint)
-
-    rng = random.Random(seed)
-    entries: list[TraceEntry] = []
+        yield members
+        while True:
+            yield members[-1:]
+    while not members:
+        yield [BOT]
     if schedule == SEEDED_RANDOM:
-        for _ in range(length):
-            entries.append(rng.choice(members) if members else BOT)
-        return Trace(entries=tuple(entries), target_hint=target_hint)
-
-    # padded-seeded
-    if not members:
-        return Trace(entries=(BOT,) * length, target_hint=target_hint)
-    while len(entries) < length:
+        while True:
+            yield [rng.choice(members)]
+    while True:  # padded-seeded
         block = list(members)
         rng.shuffle(block)
+        entries: list[TraceEntry] = []
         for m in block:
             if rng.random() < 0.25:
                 entries.append(BOT)
             entries.append(m)
-    return Trace(entries=tuple(entries[:length]), target_hint=target_hint)
+        yield entries

@@ -9,7 +9,8 @@ engine variants so that only the verifier changes between experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 from .core import (
     BOT,
@@ -17,6 +18,7 @@ from .core import (
     Program,
     Trace,
     TraceEntry,
+    _natural_key,
     explicit_language,
     pair_decode,
     semantically_equal,
@@ -128,11 +130,13 @@ def run_engine(
             semantically_equal(generalizer.initial.language, target),
         )
     strategy = strategy or CexStrategy()
-    entries = trace.entries
-    limit = min(budget, len(entries))
+    limit = min(budget, len(trace))
 
     records: list[IterationRecord] = []
     current = generalizer.initial
+    # hcheck depends on a history only through its largest sample, so the
+    # history handed to it is (largest non-BOT entry read so far,) or ().
+    history: tuple[int, ...] = ()
     queries = 0
     probes = 0
     cex_count = 0
@@ -141,7 +145,7 @@ def run_engine(
     status: Optional[str] = None
 
     for i in range(1, limit + 1):
-        entry = entries[i - 1]
+        entry = trace[i - 1]
         prev = current
 
         if variant == CEGIS:
@@ -149,7 +153,7 @@ def run_engine(
         elif variant == MINCEGIS:
             verdict = mincheck(prev.language, target)
         elif variant == HCEGIS:
-            verdict = hcheck(prev.language, target, entries[: i - 1])
+            verdict = hcheck(prev.language, target, history)
         else:  # positive-only ablation: the counterexample channel is cut
             verdict = NO_CEX
         queries += 1
@@ -158,7 +162,8 @@ def run_engine(
 
         probe: Optional[ProbeFn] = None
         if variant == HCEGIS:
-            history = entries[:i]
+            if entry is not BOT and (not history or entry > history[0]):
+                history = (entry,)
 
             def probe(lang: Language, _h=history) -> Verdict:
                 nonlocal probes
@@ -467,6 +472,14 @@ def t_lce_replay(
     return prog
 
 
+@lru_cache(maxsize=8)
+def _probe_order(ordering_key: Callable[[int], tuple], universe_bound: int) -> Sequence[int]:
+    """The universe [0, universe_bound] in the element ordering."""
+    if ordering_key is _natural_key:
+        return range(universe_bound + 1)
+    return tuple(sorted(range(universe_bound + 1), key=ordering_key))
+
+
 def simulate_min_via_arbitrary(
     target: Language,
     trace: Trace,
@@ -484,12 +497,11 @@ def simulate_min_via_arbitrary(
     replayed once the needed cache entries exist.
     """
     strategy = strategy or CexStrategy()
-    entries = trace.entries
-    limit = min(budget, len(entries))
+    limit = min(budget, len(trace))
     step = generalizer.step
 
     base = generalizer.initial.language
-    rank = sorted(range(base.universe_bound + 1), key=base.ordering_key)
+    rank = _probe_order(base.ordering_key, base.universe_bound)
 
     lce = LceMap()
     p_sim = generalizer.initial
@@ -523,7 +535,7 @@ def simulate_min_via_arbitrary(
         return prog
 
     for m in range(1, limit + 1):
-        entry = entries[m - 1]
+        entry = trace[m - 1]
         since_progress += 1
         # Progress invariant: between extensions of the consumed prefix the
         # simulation can spend at most one full probe sweep plus overhead.

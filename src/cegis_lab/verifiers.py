@@ -70,6 +70,9 @@ class CexStrategy:
 
 def _difference(candidate: Language, target: Language) -> list[int]:
     """Sorted members of candidate not in target, within the shared bound."""
+    if target.explicit_members is not None:
+        # candidate.members() never passes the candidate's own bound.
+        return sorted(candidate.members() - target.explicit_members)
     bound = max(candidate.universe_bound, target.universe_bound)
     return sorted(
         n for n in candidate.members() if n <= bound and not target.contains(n)

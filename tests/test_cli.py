@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cegis_lab.cli import main
 
 
@@ -137,3 +139,43 @@ def test_summary_queries_recomputable_from_log(tmp_path):
     assert summary["queries"] == len(queried)
     assert summary["queries"] == sum(1 for l in queried if l["cex"] is not None) + \
         sum(1 for l in queried if l["cex"] is None)
+
+
+CHAIN5 = ("run", "--family", "chain", "--target", "5", "--engine", "cegis")
+
+
+@pytest.mark.parametrize("argv", [
+    CHAIN5 + ("--budget", "0"),
+    CHAIN5 + ("--budget", "-3"),
+    CHAIN5 + ("--strategy", "nosuch"),
+    CHAIN5 + ("--schedule", "nosuch"),
+    ("run", "--config", "{tmp}/missing.cfg"),
+    ("run", "--config", "{tmp}/bad-budget.cfg"),
+    ("run", "--family", "rectangle", "--target=-1,1,-1,1", "--universe-bound", "100"),
+    ("demo", "theorem1", "--budget", "10"),
+    ("demo", "lemma1", "--budget", "0"),
+    ("demo", "lemma1", "--imax", "121"),
+    ("demo", "lemma2", "--imax", "3"),
+    ("demo", "gold", "--imax", "3"),
+    ("demo", "nosuch"),
+])
+def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
+    (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unparsable_flag_exits_1_not_the_stalled_code(tmp_path, capsys):
+    assert run_cli(*CHAIN5, "--budget", "ten", "--out", str(tmp_path)) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_chain_universe_bound_is_used(tmp_path):
+    # Bound 12 caps the chain at index 10.
+    assert run_cli(*CHAIN5, "--universe-bound", "12", "--out", str(tmp_path)) == 0
+    assert run_cli("run", "--family", "chain", "--target", "11", "--universe-bound", "12",
+                   "--out", str(tmp_path)) == 1

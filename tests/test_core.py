@@ -1,7 +1,9 @@
 """Pairing, traces, and language plumbing."""
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cegis_lab.core import (
     BOT,
@@ -19,7 +21,7 @@ from cegis_lab.core import (
     zigzag_decode,
     zigzag_encode,
 )
-from cegis_lab.families import ChainFamily
+from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +211,86 @@ def test_trace_prefix():
     t = Trace((0, 1, BOT, 2))
     assert t.prefix(2) == (0, 1)
     assert t.prefix(0) == ()
+
+
+def test_trace_indexing():
+    t = Trace((0, 1, BOT, 2))
+    assert [t[i] for i in range(len(t))] == [0, 1, BOT, 2]
+    with pytest.raises(IndexError):
+        t[4]
+    with pytest.raises(IndexError):
+        t[-1]
+
+
+# ---------------------------------------------------------------------------
+# Lazy traces against the eager generator they replace
+
+
+def eager_trace(language, schedule, seed, length):
+    """Reference: every entry made up front, in the same RNG order."""
+    if length == 0:
+        return ()
+    members = sorted(language.members())
+    if schedule == "canonical":
+        if not members:
+            raise EmptyLanguageError(language.descriptor)
+        return tuple(members[i] if i < len(members) else members[-1] for i in range(length))
+    rng = random.Random(seed)
+    if schedule == "seeded-random":
+        return tuple(rng.choice(members) if members else BOT for _ in range(length))
+    if not members:
+        return (BOT,) * length
+    entries = []
+    while len(entries) < length:
+        block = list(members)
+        rng.shuffle(block)
+        for m in block:
+            if rng.random() < 0.25:
+                entries.append(BOT)
+            entries.append(m)
+    return tuple(entries[:length])
+
+
+_RECT = RectangleFamily(grid_bound=6)
+_DIAG = DiagonalFamily()
+_GOLD = GoldFamily()
+_span = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(sorted)
+
+LANGUAGES = st.one_of(
+    st.integers(0, 40).map(ChainFamily().language),
+    st.tuples(_span, _span).map(lambda s: _RECT.language(*s[0], *s[1])),
+    st.integers(-1, 50).map(
+        lambda i: _GOLD.full_language() if i < 0 else _GOLD.minus_language(i)
+    ),
+    st.integers(0, _DIAG.base_max).map(_DIAG.diag_language),
+    st.frozensets(st.tuples(st.integers(0, 1), st.integers(0, 20)), max_size=6).map(
+        lambda pairs: _DIAG.fin_language(pairs | {(1, 3)})
+    ),
+)
+SCHEDULES = st.sampled_from(("canonical", "seeded-random", "padded-seeded"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LANGUAGES, SCHEDULES, st.integers(0, 2**32), st.integers(0, 700), st.integers(-5, 800))
+def test_lazy_trace_matches_eager(language, schedule, seed, length, k):
+    expected = eager_trace(language, schedule, seed, length)
+    trace = trace_generate(language, schedule, seed=seed, length=length)
+    assert len(trace) == length
+    assert trace.prefix(k) == expected[:k]
+    assert trace.entries == expected
+    assert len(trace) == length
+    fresh = trace_generate(language, schedule, seed=seed, length=length)
+    assert tuple(fresh[i] for i in range(length)) == expected
+
+
+def test_lazy_trace_empty_language():
+    empty = explicit_language(set(), universe_bound=5)
+    with pytest.raises(EmptyLanguageError):
+        trace_generate(empty, "canonical", length=3)
+    assert trace_generate(empty, "canonical", length=0).entries == ()
+    for schedule in ("seeded-random", "padded-seeded"):
+        trace = trace_generate(empty, schedule, seed=4, length=7)
+        assert trace.entries == (BOT,) * 7 == eager_trace(empty, schedule, 4, 7)
+    with pytest.raises(ValueError):
+        trace_generate(empty, "nosuch", length=0)
+

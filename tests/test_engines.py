@@ -1,6 +1,7 @@
 """Engine variants, generalizers, and the minimal-counterexample simulation."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,12 +19,16 @@ from cegis_lab.engines import (
     CEGIS,
     CONVERGED,
     HCEGIS,
+    EngineFaultError,
     InconsistentOracleError,
     LceMap,
     MINCEGIS,
     POSITIVE_ONLY,
     STALLED,
+    ProbeOverflowError,
     Undefined,
+    _TOP,
+    _probe_order,
     chain_generalizer,
     diag_generalizer,
     gold_generalizer,
@@ -33,7 +38,7 @@ from cegis_lab.engines import (
     t_lce_replay,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.verifiers import mincheck
+from cegis_lab.verifiers import hcheck, mincheck
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +306,77 @@ def test_simulation_consumes_trace_monotonically():
     assert sim.status == CONVERGED
     assert sim.sim_state.tau_done_len <= len(trace)
     assert sim.sim_state.tau_done_len > 0
+
+
+@pytest.mark.parametrize("schedule", ["seeded-random", "padded-seeded"])
+def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
+    """run_engine hands hcheck only the history's running maximum; every
+    verdict and probe answer must equal the one from the whole prefix."""
+    fam = DiagonalFamily()
+    target = fam.fin_language({(0, 3), (0, 9), (0, 12), (1, 20)})
+    # Seed 4 gives counterexamples whose history maximum is not the
+    # latest entry, under both schedules.
+    trace = trace_generate(target, schedule, seed=4, length=80)
+    inner = diag_generalizer(fam)
+    steps = []
+
+    def step(prev, entry, cex, probe=None):
+        i = len(steps) + 1
+        steps.append((prev, cex))
+
+        def full_history_probe(lang):
+            verdict = probe(lang)
+            assert verdict == hcheck(lang, target, trace.prefix(i))
+            return verdict
+
+        return inner.step(prev, entry, cex, full_history_probe)
+
+    run = run_engine(HCEGIS, target, trace, replace(inner, step=step), budget=80)
+    assert run.probes > 0 and any(cex is not None for _, cex in steps)
+    for i, (prev, cex) in enumerate(steps, 1):
+        assert cex == hcheck(prev.language, target, trace.prefix(i - 1)).counterexample
+
+
+def test_probe_order_is_built_once_per_ordering():
+    lang = RectangleFamily(grid_bound=4).universal_language()
+    order = _probe_order(lang.ordering_key, lang.universe_bound)
+    assert list(order) == sorted(range(lang.universe_bound + 1), key=lang.ordering_key)
+    assert _probe_order(lang.ordering_key, lang.universe_bound) is order
+    assert _probe_order.cache_info().maxsize is not None
+    chain = ChainFamily(10).language(3)
+    assert _probe_order(chain.ordering_key, chain.universe_bound) == range(13)
+
+
+# ---------------------------------------------------------------------------
+# Error paths
+
+
+def test_chain_learner_past_its_cap_is_an_engine_fault():
+    fam = ChainFamily(max_index=3)
+    target = fam.language(3)
+    trace = trace_generate(target, "canonical", length=10)
+    with pytest.raises(EngineFaultError, match="beyond cap 3"):
+        run_engine(CEGIS, target, trace, chain_generalizer(fam), budget=10)
+
+
+def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
+    # A cache that never answers: every replay consumes nothing, so the
+    # simulation sweeps forever unless the guard stops it.
+    monkeypatch.setattr(LceMap, "get", lambda self, program: _TOP)
+    fam = GoldFamily(bound=8)
+    target = fam.minus_language(3)
+    trace = trace_generate(target, "canonical", length=100)
+    with pytest.raises(EngineFaultError, match="progress"):
+        simulate_min_via_arbitrary(target, trace, gold_generalizer(fam), budget=100)
+
+
+def test_probe_cap_overflow_on_diagonal_hcegis():
+    fam = DiagonalFamily()
+    target = fam.fin_language({(0, 2), (1, 5)})
+    trace = trace_generate(target, "canonical", length=20)
+    gen = diag_generalizer(fam)
+    # The <1, 5> entry (code 26) makes the learner probe every code below it.
+    run = run_engine(HCEGIS, target, trace, gen, budget=20, probe_cap=26)
+    assert run.probes == 26 and run.semantic_match
+    with pytest.raises(ProbeOverflowError):
+        run_engine(HCEGIS, target, trace, gen, budget=20, probe_cap=25)

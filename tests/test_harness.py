@@ -89,6 +89,19 @@ def test_theorem1_pair_degenerate_target():
     assert direct.cex_count == sim.cex_count == 0
 
 
+def test_theorem1_pair_reads_a_long_trace_lazily():
+    fam = ChainFamily()
+    target = fam.language(4)
+    gen = chain_generalizer(fam)
+    trace = trace_generate(target, "padded-seeded", seed=11, length=10**9)
+    direct, sim, equal = theorem1_pair(target, gen, trace, 300, 600)
+    assert equal and len(trace) == 10**9
+    short = trace_generate(target, "padded-seeded", seed=11, length=600)
+    s_direct, s_sim, _ = theorem1_pair(target, gen, short, 300, 600)
+    assert direct.iterations == s_direct.iterations
+    assert sim.iterations == s_sim.iterations
+
+
 # ---------------------------------------------------------------------------
 # Demos
 

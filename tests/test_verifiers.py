@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cegis_lab.core import BOT, explicit_language, pair_encode, point_encode, smpl
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
@@ -149,6 +150,18 @@ def test_hcheck_counterexamples_below_history_max(family):
             assert observed and verdict.counterexample < max(observed)
             assert candidate.contains(verdict.counterexample)
             assert not target.contains(verdict.counterexample)
+
+
+@given(st.data())
+def test_hcheck_depends_only_on_history_max(data):
+    pool = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
+    candidate = data.draw(st.sampled_from(pool))
+    target = data.draw(st.sampled_from(pool))
+    bound = target.universe_bound
+    history = data.draw(st.lists(st.one_of(st.none(), st.integers(0, bound)), max_size=8))
+    seen = smpl(history)
+    summary = (max(seen),) if seen else ()
+    assert hcheck(candidate, target, history) == hcheck(candidate, target, summary)
 
 
 # ---------------------------------------------------------------------------
