@@ -2,7 +2,9 @@
 
 Exit codes for ``run``: 0 converged with semantic match, 2 stalled (or
 converged on the wrong language), 3 budget exhausted, 1 configuration
-error.  ``demo`` exits 0 iff the demo's expected conclusion holds.
+error or an engine error (the generalizer left its family, an oracle
+answer contradicted the engine, or the probe budget ran out).  ``demo``
+exits 0 iff the demo's expected conclusion holds.
 """
 from __future__ import annotations
 
@@ -23,7 +25,10 @@ from .engines import (
     POSITIVE_ONLY,
     SIMULATED_MINCEGIS,
     STALLED,
+    EngineFaultError,
     Generalizer,
+    InconsistentOracleError,
+    ProbeOverflowError,
     chain_generalizer,
     diag_generalizer,
     gold_generalizer,
@@ -285,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EngineFaultError, InconsistentOracleError, ProbeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

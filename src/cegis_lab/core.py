@@ -1,15 +1,16 @@
 """Core data model: pairing codec, languages, traces, programs.
 
-Languages are decidable sets of natural numbers with a declared universe
-bound B.  Every family built on top of these types guarantees that two
-distinct member languages differ on some element <= B, which is what makes
-bounded verifier search exact.
+Languages are sets of natural numbers within a declared universe bound B,
+held as int bitmasks.  Every family built on top of these types guarantees
+that two distinct member languages differ on some element <= B, which is
+what makes bounded verifier search exact.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 # The padding symbol in traces.  A trace entry is either a natural number
@@ -80,77 +81,100 @@ def _natural_key(n: int) -> tuple:
     return (n,)
 
 
-@dataclass(frozen=True, eq=False)
-class Language:
-    """A decidable membership predicate over [0, universe_bound].
+def bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative int bitmask, ascending."""
+    text = bin(mask)[:1:-1]  # bit i is text[i]
+    found = []
+    i = text.find("1")
+    while i >= 0:
+        found.append(i)
+        i = text.find("1", i + 1)
+    return found
 
-    ``ordering_key`` totalizes the family's element ordering: it maps an
-    element to a sortable tuple whose first component is the declared
-    (possibly partial) order and whose remaining components implement the
-    documented tie-break.
+
+class Ordering:
+    """A total order of [0, bound], given by ``key`` as ``sorted`` takes it.
+
+    ``order`` lists the elements least first.  It is built on first use
+    and cut into blocks of 64 elements, each with the bitmask of its
+    elements, so ``least`` skips a block per big-int AND and then tests
+    at most 64 single bits.
     """
 
-    membership: Callable[[int], bool]
+    def __init__(self, key: Callable[[int], tuple], bound: int):
+        self.key = key
+        self.bound = bound
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(sorted(range(self.bound + 1), key=self.key))
+
+    @cached_property
+    def _blocks(self) -> list[tuple[int, tuple[int, ...]]]:
+        order = self.order
+        blocks = [order[s:s + 64] for s in range(0, len(order), 64)]
+        return [(sum(1 << e for e in block), block) for block in blocks]
+
+    def least(self, mask: int) -> int:
+        """The least element of a nonempty bitmask over [0, bound]."""
+        for block_mask, block in self._blocks:
+            if mask & block_mask:
+                for e in block:
+                    if mask & 1 << e:
+                        return e
+        raise ValueError("least element of an empty set")
+
+
+@dataclass(frozen=True, eq=False)
+class Language:
+    """A set of naturals within [0, universe_bound], held as an int bitmask:
+    n is a member iff bit n of ``mask`` is set.
+
+    ``ordering`` is the family's element ordering, which decides the
+    minimal counterexample; None is the natural order.
+    """
+
+    mask: int
     universe_bound: int
     descriptor: str
-    ordering_key: Callable[[int], tuple] = _natural_key
-    explicit_members: Optional[frozenset] = None
+    ordering: Optional[Ordering] = None
+
+    @property
+    def ordering_key(self) -> Callable[[int], tuple]:
+        """Sort key of the element ordering: the declared (possibly partial)
+        order first, then the documented tie-break."""
+        return _natural_key if self.ordering is None else self.ordering.key
 
     def contains(self, n: int) -> bool:
-        if self.explicit_members is not None:
-            return n in self.explicit_members
-        return bool(self.membership(n))
+        return n >= 0 and bool(self.mask >> n & 1)
 
     def members(self) -> frozenset:
-        """All members <= universe_bound (cached)."""
-        cached = self.__dict__.get("_members")
-        if cached is None:
-            if self.explicit_members is not None:
-                cached = frozenset(
-                    m for m in self.explicit_members if m <= self.universe_bound
-                )
-            else:
-                cached = frozenset(
-                    n for n in range(self.universe_bound + 1) if self.membership(n)
-                )
-            self.__dict__["_members"] = cached
-        return cached
+        """All members, as a set."""
+        return frozenset(bits(self.mask))
 
     def intersect_singleton(self, k: int) -> "Language":
-        members = frozenset({k}) if self.contains(k) else frozenset()
         return Language(
-            membership=members.__contains__,
-            universe_bound=self.universe_bound,
-            descriptor=f"{self.descriptor}&{{{k}}}",
-            ordering_key=self.ordering_key,
-            explicit_members=members,
+            self.mask & 1 << k, self.universe_bound,
+            f"{self.descriptor}&{{{k}}}", self.ordering,
         )
 
 
 def semantically_equal(a: Language, b: Language) -> bool:
     """Agreement on the shared bounded universe."""
-    if a.universe_bound == b.universe_bound:
-        return a.members() == b.members()
-    bound = max(a.universe_bound, b.universe_bound)
-    return all(a.contains(n) == b.contains(n) for n in range(bound + 1))
+    return a.mask == b.mask
 
 
 def explicit_language(
     members: Iterable[int],
     universe_bound: int,
     descriptor: Optional[str] = None,
-    ordering_key: Callable[[int], tuple] = _natural_key,
 ) -> Language:
-    ms = frozenset(members)
+    """The language of the given members; those outside [0, universe_bound]
+    are dropped."""
+    ms = {m for m in members if 0 <= m <= universe_bound}
     if descriptor is None:
         descriptor = "set{" + ",".join(str(m) for m in sorted(ms)) + "}"
-    return Language(
-        membership=ms.__contains__,
-        universe_bound=universe_bound,
-        descriptor=descriptor,
-        ordering_key=ordering_key,
-        explicit_members=ms,
-    )
+    return Language(sum(1 << m for m in ms), universe_bound, descriptor)
 
 
 class Trace:
@@ -221,8 +245,8 @@ class Program:
     def descriptor(self) -> str:
         return self.language.descriptor
 
-    def semantic_key(self) -> frozenset:
-        return self.language.members()
+    def semantic_key(self) -> int:
+        return self.language.mask
 
 
 CANONICAL = "canonical"
@@ -255,7 +279,7 @@ def trace_generate(
         raise ValueError(f"unknown schedule: {schedule}")
     if length == 0:
         return Trace(target_hint=target_hint)
-    members = sorted(language.members())
+    members = bits(language.mask)
     if schedule == CANONICAL and not members:
         raise EmptyLanguageError(
             f"canonical schedule needs a nonempty language: {language.descriptor}"

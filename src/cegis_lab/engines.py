@@ -8,9 +8,8 @@ engine variants so that only the verifier changes between experiments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .core import (
     BOT,
@@ -18,7 +17,7 @@ from .core import (
     Program,
     Trace,
     TraceEntry,
-    _natural_key,
+    bits,
     explicit_language,
     pair_decode,
     semantically_equal,
@@ -420,13 +419,13 @@ _TOP = "top"
 class LceMap:
     """Finite cache from programs to their minimal counterexamples.
 
-    Keys are semantic (member sets): syntactically different programs for
-    the same language share one entry.  Absent key = unknown (top); a
+    Keys are semantic (member bitmasks): syntactically different programs
+    for the same language share one entry.  Absent key = unknown (top); a
     stored None = no counterexample exists.
     """
 
     def __init__(self):
-        self._entries: dict[frozenset, Optional[int]] = {}
+        self._entries: dict[int, Optional[int]] = {}
 
     def get(self, program: Program):
         return self._entries.get(program.semantic_key(), _TOP)
@@ -435,7 +434,8 @@ class LceMap:
         self._entries[program.semantic_key()] = value
 
     def items(self):
-        return self._entries.items()
+        """(member set, cached value) pairs."""
+        return [(frozenset(bits(key)), value) for key, value in self._entries.items()]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -472,14 +472,6 @@ def t_lce_replay(
     return prog
 
 
-@lru_cache(maxsize=8)
-def _probe_order(ordering_key: Callable[[int], tuple], universe_bound: int) -> Sequence[int]:
-    """The universe [0, universe_bound] in the element ordering."""
-    if ordering_key is _natural_key:
-        return range(universe_bound + 1)
-    return tuple(sorted(range(universe_bound + 1), key=ordering_key))
-
-
 def simulate_min_via_arbitrary(
     target: Language,
     trace: Trace,
@@ -501,7 +493,7 @@ def simulate_min_via_arbitrary(
     step = generalizer.step
 
     base = generalizer.initial.language
-    rank = _probe_order(base.ordering_key, base.universe_bound)
+    order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
 
     lce = LceMap()
     p_sim = generalizer.initial
@@ -539,7 +531,7 @@ def simulate_min_via_arbitrary(
         since_progress += 1
         # Progress invariant: between extensions of the consumed prefix the
         # simulation can spend at most one full probe sweep plus overhead.
-        if since_progress > len(rank) + 2:
+        if since_progress > len(order) + 2:
             raise EngineFaultError("simulation stopped making progress")
 
         if not probing:
@@ -560,7 +552,7 @@ def simulate_min_via_arbitrary(
                 else:  # Case 1.1.2
                     backlog.append(entry)
                     mu = 0
-                    p_sim = probe_program(rank[0])
+                    p_sim = probe_program(order[0])
                     probing = True
                     streak = 0
             else:  # Case 1.2
@@ -597,12 +589,12 @@ def simulate_min_via_arbitrary(
                 streak = 0
             else:  # Case 2.2
                 mu += 1
-                if mu >= len(rank):
+                if mu >= len(order):
                     raise InconsistentOracleError(
                         "probe sweep exhausted the universe without a counterexample"
                     )
                 backlog.append(entry)
-                p_sim = probe_program(rank[mu])
+                p_sim = probe_program(order[mu])
 
     final = p_last
     match = semantically_equal(final.language, target)

@@ -6,12 +6,14 @@ two distinct member languages differ on some element <= B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 from typing import Iterable
 
 from .core import (
     IndexedFamily,
     Language,
-    explicit_language,
+    Ordering,
     pair_decode,
     pair_encode,
     point_decode,
@@ -45,28 +47,13 @@ class ChainFamily:
     def language(self, i: int) -> Language:
         if not 0 <= i <= self.max_index:
             raise IndexOutOfRangeError(f"chain index {i} not in [0, {self.max_index}]")
-        return explicit_language(
-            range(i + 1), self.universe_bound, f"chain[{i}]"
-        )
+        return Language((1 << i + 1) - 1, self.universe_bound, f"chain[{i}]")
 
     def template(self, i: int, n: int) -> int:
         return 1 if n <= i else 0
 
     def indexed(self) -> IndexedFamily:
         return IndexedFamily("chain", self.template, self.language)
-
-
-def _radial_key_factory(bound: int):
-    # Precomputed decode keeps the ordering key O(1) during mincheck scans.
-    keys = []
-    for code in range(bound + 1):
-        x, y = point_decode(code)
-        keys.append((x * x + y * y, x, y))
-
-    def key(code: int) -> tuple:
-        return keys[code]
-
-    return key
 
 
 @dataclass(frozen=True)
@@ -79,34 +66,33 @@ class RectangleFamily:
     """
 
     grid_bound: int = 32
+    # _columns[i] is the bitmask of the grid points with x < i - grid_bound,
+    # _rows[i] the same for y, so a rectangle is four big-int operations.
+    _columns: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _ordering: Ordering = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = self.grid_bound
+        span = range(-g, g + 1)
+        columns = [sum(1 << point_encode(x, y) for y in span) for x in span]
+        rows = [sum(1 << point_encode(x, y) for x in span) for y in span]
+        object.__setattr__(self, "_columns", tuple(accumulate(columns, or_, initial=0)))
+        object.__setattr__(self, "_rows", tuple(accumulate(rows, or_, initial=0)))
+        object.__setattr__(self, "_ordering", Ordering(self.ordering_key, self.universe_bound))
 
     @property
     def universe_bound(self) -> int:
         g = self.grid_bound
         return pair_encode(zigzag_encode(g), zigzag_encode(g))
 
-    def _tables(self):
-        cached = self.__dict__.get("_tables_cache")
-        if cached is None:
-            import numpy as np
-
-            bound = self.universe_bound
-            g = self.grid_bound
-            points = []
-            for code in range(bound + 1):
-                points.append(point_decode(code))
-            xs = np.array([p[0] for p in points], dtype=np.int64)
-            ys = np.array([p[1] for p in points], dtype=np.int64)
-            in_grid = (np.abs(xs) <= g) & (np.abs(ys) <= g)
-            cached = (points, xs, ys, in_grid, _radial_key_factory(bound))
-            self.__dict__["_tables_cache"] = cached
-        return cached
-
     def decode(self, code: int) -> tuple[int, int]:
-        return self._tables()[0][code]
+        return point_decode(code)
 
-    def ordering_key(self, code: int) -> tuple:
-        return self._tables()[4](code)
+    @staticmethod
+    def ordering_key(code: int) -> tuple:
+        x, y = point_decode(code)
+        return (x * x + y * y, x, y)
 
     def language(self, ax: int, bx: int, ay: int, by: int) -> Language:
         g = self.grid_bound
@@ -114,24 +100,11 @@ class RectangleFamily:
             raise InvalidRectangleError(f"inverted bounds ({ax},{bx},{ay},{by})")
         if min(ax, ay) < -g or max(bx, by) > g:
             raise InvalidRectangleError(f"bounds outside +/-{g} grid")
-        memo = self.__dict__.setdefault("_language_memo", {})
-        bounds = (ax, bx, ay, by)
-        lang = memo.get(bounds)
-        if lang is None:
-            import numpy as np
-
-            _, xs, ys, in_grid, key = self._tables()
-            mask = in_grid & (xs >= ax) & (xs <= bx) & (ys >= ay) & (ys <= by)
-            members = frozenset(int(c) for c in np.nonzero(mask)[0])
-            lang = Language(
-                membership=members.__contains__,
-                universe_bound=self.universe_bound,
-                descriptor=f"rect[{ax},{bx},{ay},{by}]",
-                ordering_key=key,
-                explicit_members=members,
-            )
-            memo[bounds] = lang
-        return lang
+        cols, rows = self._columns, self._rows
+        mask = (cols[bx + g + 1] ^ cols[ax + g]) & (rows[by + g + 1] ^ rows[ay + g])
+        return Language(
+            mask, self.universe_bound, f"rect[{ax},{bx},{ay},{by}]", self._ordering
+        )
 
     def universal_language(self) -> Language:
         g = self.grid_bound
@@ -178,10 +151,8 @@ class DiagonalFamily:
             raise IndexOutOfRangeError(
                 f"diag index {i} not representable below bound {self.universe_bound}"
             )
-        members = frozenset(
-            pair_encode(0, n) for n in range(i, self.base_max + 1)
-        )
-        return explicit_language(members, self.universe_bound, f"diag[{i}]")
+        mask = sum(1 << pair_encode(0, n) for n in range(i, self.base_max + 1))
+        return Language(mask, self.universe_bound, f"diag[{i}]")
 
     def fin_language(self, members: Iterable[tuple[int, int]]) -> Language:
         pairs = sorted(set(tuple(m) for m in members))
@@ -197,7 +168,7 @@ class DiagonalFamily:
                 f"fin member code exceeds universe bound {self.universe_bound}"
             )
         label = ",".join(f"({j},{n})" for j, n in pairs)
-        return explicit_language(codes, self.universe_bound, f"fin[{label}]")
+        return Language(sum(1 << c for c in codes), self.universe_bound, f"fin[{label}]")
 
     def template(self, i: int, n: int) -> int:
         """TEMPLATE for the diag sub-family (fin members are parameter blocks)."""
@@ -219,13 +190,13 @@ class GoldFamily:
         return self.bound
 
     def full_language(self) -> Language:
-        return explicit_language(range(self.bound + 1), self.bound, "gold[full]")
+        return Language((1 << self.bound + 1) - 1, self.bound, "gold[full]")
 
     def minus_language(self, i: int) -> Language:
         if not 0 <= i <= self.bound:
             raise IndexOutOfRangeError(f"gold deletion index {i} not in [0, {self.bound}]")
-        members = frozenset(range(self.bound + 1)) - {i}
-        return explicit_language(members, self.bound, f"gold[-{i}]")
+        full = (1 << self.bound + 1) - 1
+        return Language(full ^ (1 << i), self.bound, f"gold[-{i}]")
 
     def template(self, i: int, n: int) -> int:
         """Index 0 is the full set; index i+1 deletes point i."""

@@ -55,11 +55,11 @@ class HarnessVerdict:
 
 
 def default_stability_window(target: Language) -> int:
-    return max(1, 2 * min(len(target.members()), 50))
+    return max(1, 2 * min(target.mask.bit_count(), 50))
 
 
 def default_budget(target: Language) -> int:
-    return 10 * target.universe_bound
+    return 10 * max(target.universe_bound, 1)
 
 
 def convergence_verdict(

@@ -2,16 +2,17 @@
 
 All three are exact bounded-universe subset-query checkers: a verdict of
 "no counterexample" means the candidate's members (within the universe
-bound) are contained in the target.  Counterexample selection among the
+bound) are contained in the target.  Each works on the bitmask of the
+candidate's members outside the target.  Counterexample selection among the
 difference set is pluggable for the arbitrary-counterexample verifier.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import BOT, Language, TraceEntry, smpl
+from .core import Language, TraceEntry, bits, smpl
 
 FIRST_FOUND = "first-found"
 SEEDED_RANDOM = "seeded-random"
@@ -49,34 +50,36 @@ class CexStrategy:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown strategy kind: {self.kind}")
 
-    def select(self, difference: list[int]) -> int:
-        """Pick one element of the (sorted, nonempty) difference set."""
+    def select(self, difference: int) -> int:
+        """Pick one element of a nonempty difference bitmask."""
         if self.kind == FIRST_FOUND:
-            return difference[0]
+            return _lowest(difference)
         if self.kind == ADVERSARIAL_MAX:
-            return difference[-1]
+            return difference.bit_length() - 1
         if self.kind == CONSISTENT_AVOIDING:
-            allowed = [d for d in difference if d not in self.avoid]
+            allowed = difference & ~sum(1 << a for a in self.avoid)
             if not allowed:
                 raise StrategyInfeasibleError(
                     "every counterexample is in the avoid set"
                 )
-            return allowed[0]
-        # seeded-random: deterministic in (seed, difference set)
-        mix = (self.seed, len(difference), difference[0], difference[-1])
-        rng = random.Random(hash(mix))
-        return rng.choice(difference)
+            return _lowest(allowed)
+        # seeded-random: deterministic in (seed, difference set).  A str seed
+        # goes through SHA-512, so the choice is the same on every Python.
+        elements = bits(difference)
+        rng = random.Random(f"{self.seed}:{len(elements)}:{elements[0]}:{elements[-1]}")
+        return rng.choice(elements)
 
 
-def _difference(candidate: Language, target: Language) -> list[int]:
-    """Sorted members of candidate not in target, within the shared bound."""
-    if target.explicit_members is not None:
-        # candidate.members() never passes the candidate's own bound.
-        return sorted(candidate.members() - target.explicit_members)
-    bound = max(candidate.universe_bound, target.universe_bound)
-    return sorted(
-        n for n in candidate.members() if n <= bound and not target.contains(n)
-    )
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _difference(candidate: Language, target: Language) -> int:
+    """The bitmask of candidate members not in the target.  ``c & t`` costs
+    the size of the smaller operand, where ``c & ~t`` costs the larger: a
+    singleton probe against a large target stays cheap."""
+    c = candidate.mask
+    return c ^ (c & target.mask)
 
 
 def _sound(candidate: Language, target: Language, e: int) -> Verdict:
@@ -101,7 +104,9 @@ def mincheck(candidate: Language, target: Language) -> Verdict:
     diff = _difference(candidate, target)
     if not diff:
         return NO_CEX
-    return _sound(candidate, target, min(diff, key=candidate.ordering_key))
+    ordering = candidate.ordering
+    least = _lowest(diff) if ordering is None else ordering.least(diff)
+    return _sound(candidate, target, least)
 
 
 def hcheck(
@@ -118,9 +123,7 @@ def hcheck(
     seen = smpl(history)
     if not seen:
         return NO_CEX
-    hmax = max(seen)
-    diff = _difference(candidate, target)
-    eligible = [m for m in diff if m < hmax]
-    if not eligible:
+    least = _lowest(_difference(candidate, target))  # -1 for no difference
+    if not 0 <= least < max(seen):
         return NO_CEX
-    return _sound(candidate, target, eligible[0])
+    return _sound(candidate, target, least)

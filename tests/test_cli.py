@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, log files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cegis_lab
 from cegis_lab.cli import main
 
 
@@ -158,6 +162,9 @@ CHAIN5 = ("run", "--family", "chain", "--target", "5", "--engine", "cegis")
     ("demo", "lemma2", "--imax", "3"),
     ("demo", "gold", "--imax", "3"),
     ("demo", "nosuch"),
+    # Engine errors: the chain learner climbs past its cap.
+    CHAIN5[:-1] + ("hcegis",),
+    ("run", "--family", "chain", "--universe-bound", "2", "--target", "0"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
@@ -179,3 +186,31 @@ def test_chain_universe_bound_is_used(tmp_path):
     assert run_cli(*CHAIN5, "--universe-bound", "12", "--out", str(tmp_path)) == 0
     assert run_cli("run", "--family", "chain", "--target", "11", "--universe-bound", "12",
                    "--out", str(tmp_path)) == 1
+
+
+def test_universe_bound_zero_has_a_default_budget(tmp_path, capsys):
+    for family, target in (("gold", "full"), ("diagonal", "diag:0")):
+        assert run_cli("run", "--family", family, "--universe-bound", "0",
+                       "--target", target, "--out", str(tmp_path)) == 0
+    # gold[-0] at B = 0 is empty: the error names that, not a budget never given.
+    assert run_cli("run", "--family", "gold", "--universe-bound", "0",
+                   "--target", "minus:0", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "budget" not in err and "nonempty language" in err
+
+
+def test_rectangle_runs_do_not_import_numpy(tmp_path):
+    script = ("import sys; from cegis_lab.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy' in sys.modules); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cegis_lab.__file__).parents[1]))
+    for argv in (("run", "--family", "rectangle", "--target=-1,1,-1,1", "--engine", "mincegis"),
+                 ("demo", "rectangle")):
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_no_runtime_dependencies():
+    pyproject = Path(cegis_lab.__file__).parents[2] / "pyproject.toml"
+    assert "\ndependencies = []\n" in pyproject.read_text()

@@ -155,6 +155,16 @@ def test_intersect_singleton():
     assert a.intersect_singleton(7).members() == frozenset()
 
 
+def test_ordering_least_follows_the_order():
+    fam = RectangleFamily(grid_bound=5)
+    ordering = fam.universal_language().ordering
+    suffix = 0
+    for e in reversed(ordering.order):
+        suffix |= 1 << e
+        assert ordering.least(1 << e) == e
+        assert ordering.least(suffix) == e
+
+
 # ---------------------------------------------------------------------------
 # Trace generation
 

@@ -28,7 +28,6 @@ from cegis_lab.engines import (
     ProbeOverflowError,
     Undefined,
     _TOP,
-    _probe_order,
     chain_generalizer,
     diag_generalizer,
     gold_generalizer,
@@ -337,14 +336,25 @@ def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
         assert cex == hcheck(prev.language, target, trace.prefix(i - 1)).counterexample
 
 
-def test_probe_order_is_built_once_per_ordering():
-    lang = RectangleFamily(grid_bound=4).universal_language()
-    order = _probe_order(lang.ordering_key, lang.universe_bound)
+def test_probe_order_is_the_family_ordering():
+    fam = RectangleFamily(grid_bound=4)
+    lang = fam.universal_language()
+    order = lang.ordering.order
     assert list(order) == sorted(range(lang.universe_bound + 1), key=lang.ordering_key)
-    assert _probe_order(lang.ordering_key, lang.universe_bound) is order
-    assert _probe_order.cache_info().maxsize is not None
-    chain = ChainFamily(10).language(3)
-    assert _probe_order(chain.ordering_key, chain.universe_bound) == range(13)
+    # One order per family, built once and shared by all its languages.
+    assert fam.language(-1, 1, 0, 2).ordering.order is order
+    assert ChainFamily(10).language(3).ordering is None  # the natural order
+    # Each probe sweep of the simulation walks that order from its start.
+    target = fam.language(-1, 1, -1, 1)
+    trace = trace_generate(target, "padded-seeded", seed=1, length=2000)
+    sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=2000)
+    probed = [int(r.candidate.rsplit("&{", 1)[1][:-1])
+              for r in sim.iterations if r.event == "probe"]
+    assert probed
+    starts = [i for i, e in enumerate(probed) if e == order[0]] + [len(probed)]
+    assert starts[0] == 0
+    for start, end in zip(starts, starts[1:]):
+        assert probed[start:end] == list(order[:end - start])
 
 
 # ---------------------------------------------------------------------------

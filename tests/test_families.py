@@ -78,6 +78,16 @@ def test_rectangle_agrees_with_four_inequalities():
                 assert lang.contains(point_encode(x, y)) == expected
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_every_rectangle_mask_is_its_point_in_box_set(g):
+    fam = RectangleFamily(grid_bound=g)
+    sides = [(a, b) for a in range(-g, g + 1) for b in range(a, g + 1)]
+    for ax, bx in sides:
+        for ay, by in sides:
+            box = {point_encode(x, y) for x in range(ax, bx + 1) for y in range(ay, by + 1)}
+            assert fam.language(ax, bx, ay, by).members() == box
+
+
 def test_rectangle_universal_is_full_grid():
     fam = RectangleFamily(grid_bound=4)
     uni = fam.universal_language()

@@ -1,11 +1,21 @@
 """Verifier oracles cross-checked against brute-force set computations."""
 
 import random
+import zlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cegis_lab.core import BOT, explicit_language, pair_encode, point_encode, smpl
+from cegis_lab.core import (
+    BOT,
+    Program,
+    explicit_language,
+    pair_encode,
+    point_decode,
+    point_encode,
+    semantically_equal,
+    smpl,
+)
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
@@ -23,6 +33,12 @@ from cegis_lab.verifiers import (
 
 def brute_difference(candidate, target):
     return sorted(c for c in candidate.members() if not target.contains(c))
+
+
+def family_rng(family, offset):
+    """An RNG seeded from the family name by a digest that, unlike ``hash``,
+    does not change with PYTHONHASHSEED."""
+    return random.Random(zlib.crc32(family.encode()) + offset)
 
 
 def random_language_pairs(rng, family_langs, count):
@@ -75,7 +91,7 @@ def test_check_known_values():
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_check_bot_iff_subset(family):
-    rng = random.Random(hash(family) & 0xFFFF)
+    rng = family_rng(family, 0)
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
         verdict = check(candidate, target)
         diff = brute_difference(candidate, target)
@@ -99,7 +115,7 @@ def test_mincheck_known_values():
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_mincheck_equals_brute_force_minimum(family):
-    rng = random.Random((hash(family) & 0xFFFF) + 1)
+    rng = family_rng(family, 1)
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
         verdict = mincheck(candidate, target)
         diff = brute_difference(candidate, target)
@@ -134,7 +150,7 @@ def test_hcheck_empty_history_is_bot():
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_hcheck_counterexamples_below_history_max(family):
-    rng = random.Random((hash(family) & 0xFFFF) + 2)
+    rng = family_rng(family, 2)
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
         members = sorted(target.members())
         history = [rng.choice(members) for _ in range(rng.randint(0, 5))]
@@ -170,7 +186,7 @@ def test_hcheck_depends_only_on_history_max(data):
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_all_verdicts_sound(family):
-    rng = random.Random((hash(family) & 0xFFFF) + 3)
+    rng = family_rng(family, 3)
     for candidate, target in random_language_pairs(rng, POOLS[family], 50):
         for verdict in (check(candidate, target), mincheck(candidate, target)):
             if not verdict.is_bot:
@@ -212,3 +228,105 @@ def test_consistent_avoiding_strategy():
 def test_no_cex_singleton():
     assert NO_CEX.is_bot
     assert NO_CEX.counterexample is None
+
+
+# ---------------------------------------------------------------------------
+# The bitmask oracles against frozenset brute force
+
+
+PROPERTY_FAMILIES = {
+    "chain": ChainFamily(max_index=40),
+    "rect2": RectangleFamily(grid_bound=2),
+    "rect5": RectangleFamily(grid_bound=5),
+    "rect32": RectangleFamily(grid_bound=32),
+    "diagonal": DiagonalFamily(),
+    "gold": GoldFamily(bound=20),
+}
+
+
+@st.composite
+def language_with_reference(draw, name):
+    """A family language and its member set, built from the family's
+    definition without going through a bitmask."""
+    fam = PROPERTY_FAMILIES[name]
+    if name == "chain":
+        i = draw(st.integers(0, fam.max_index))
+        return fam.language(i), frozenset(range(i + 1))
+    if name.startswith("rect"):
+        g = fam.grid_bound
+        ax, bx = sorted(draw(st.lists(st.integers(-g, g), min_size=2, max_size=2)))
+        ay, by = sorted(draw(st.lists(st.integers(-g, g), min_size=2, max_size=2)))
+        box = frozenset(point_encode(x, y)
+                        for x in range(ax, bx + 1) for y in range(ay, by + 1))
+        return fam.language(ax, bx, ay, by), box
+    if name == "diagonal":
+        if draw(st.booleans()):
+            i = draw(st.integers(0, fam.base_max))
+            return fam.diag_language(i), frozenset(
+                pair_encode(0, n) for n in range(i, fam.base_max + 1))
+        pairs = draw(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 20)), max_size=5))
+        pairs |= {(1, draw(st.integers(0, 20)))}
+        return fam.fin_language(pairs), frozenset(pair_encode(j, n) for j, n in pairs)
+    full = frozenset(range(fam.bound + 1))
+    if draw(st.booleans()):
+        return fam.full_language(), full
+    i = draw(st.integers(0, fam.bound))
+    return fam.minus_language(i), full - {i}
+
+
+def reference_key(name):
+    if name.startswith("rect"):
+        def radial(code):
+            x, y = point_decode(code)
+            return (x * x + y * y, x, y)
+        return radial
+    return lambda n: n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bitmask_oracles_equal_frozenset_brute_force(data):
+    name = data.draw(st.sampled_from(sorted(PROPERTY_FAMILIES)))
+    candidate, cand_ref = data.draw(language_with_reference(name))
+    target, tgt_ref = data.draw(language_with_reference(name))
+    bound = target.universe_bound
+    assert candidate.members() == cand_ref and target.members() == tgt_ref
+    diff = sorted(cand_ref - tgt_ref)
+
+    seed = data.draw(st.integers(0, 2**32))
+    avoid = frozenset(data.draw(st.lists(st.sampled_from(diff), max_size=3))) if diff \
+        else frozenset()
+    expected = {FIRST_FOUND: diff[:1], ADVERSARIAL_MAX: diff[-1:], CONSISTENT_AVOIDING:
+                [d for d in diff if d not in avoid][:1]}
+    if diff:
+        pick = random.Random(f"{seed}:{len(diff)}:{diff[0]}:{diff[-1]}").choice(diff)
+        expected[SEEDED_RANDOM] = [pick]
+    for kind in (FIRST_FOUND, ADVERSARIAL_MAX, CONSISTENT_AVOIDING, SEEDED_RANDOM):
+        strategy = CexStrategy(kind, seed=seed, avoid=avoid)
+        if diff and not expected.get(kind):
+            with pytest.raises(StrategyInfeasibleError):
+                check(candidate, target, strategy)
+            continue
+        verdict = check(candidate, target, strategy)
+        got = [] if verdict.is_bot else [verdict.counterexample]
+        assert got == expected.get(kind, [])
+
+    least = min(diff, key=reference_key(name)) if diff else None
+    assert mincheck(candidate, target).counterexample == least
+    # Differences of two family members rarely separate the radial order
+    # from the code order, so the ordering is also probed on sparse sets.
+    if candidate.ordering is not None:
+        subset = data.draw(st.sets(st.integers(0, bound), min_size=1, max_size=6))
+        least = candidate.ordering.least(sum(1 << e for e in subset))
+        assert least == min(subset, key=reference_key(name))
+
+    history = data.draw(st.lists(st.one_of(st.none(), st.integers(0, bound)), max_size=6))
+    seen = [e for e in history if e is not None]
+    eligible = [d for d in diff if seen and d < max(seen)]
+    assert hcheck(candidate, target, history).counterexample == min(eligible, default=None)
+
+    k = data.draw(st.integers(0, bound))
+    assert candidate.intersect_singleton(k).members() == cand_ref & {k}
+    keys = [Program(name, None, lang).semantic_key() for lang in (candidate, target)]
+    assert (keys[0] == keys[1]) == (cand_ref == tgt_ref)
+    assert semantically_equal(candidate, target) == (cand_ref == tgt_ref)
