@@ -5,7 +5,6 @@ synthesis by arbitrary-counterexample synthesis, and separation demos."""
 
 from .core import (
     BOT,
-    IndexedFamily,
     Language,
     Program,
     Trace,

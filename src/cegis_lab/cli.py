@@ -38,7 +38,7 @@ from .engines import (
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from .logio import run_jsonl, summary_dict
-from .verifiers import FIRST_FOUND, CexStrategy
+from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, CexStrategy
 
 
 class ConfigError(ValueError):
@@ -167,9 +167,15 @@ def cmd_run(args) -> int:
     budget = _check_budget(pick(args.budget, "budget", int, harness.default_budget(target)))
     schedule = pick(args.schedule, "schedule", default=CANONICAL)
     window = min(harness.default_stability_window(target), budget)
+    kind = pick(args.strategy, "strategy")
+    if kind is not None and engine not in (CEGIS, SIMULATED_MINCEGIS):
+        raise ConfigError(f"engine {engine} takes no strategy: only cegis and "
+                          f"simulated-mincegis ask the arbitrary-counterexample oracle")
+    if kind == CONSISTENT_AVOIDING:
+        raise ConfigError("strategy consistent-avoiding needs an avoid set, "
+                          "which the command line cannot give")
     try:
-        strategy = CexStrategy(kind=pick(args.strategy, "strategy", default=FIRST_FOUND),
-                               seed=seed)
+        strategy = CexStrategy(kind=kind or FIRST_FOUND, seed=seed)
         trace = trace_generate(target, schedule, seed=seed, length=budget)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -230,12 +236,22 @@ def cmd_demo(args) -> int:
 
 
 def cmd_table(args) -> int:
-    doc = json.loads(Path(args.report).read_text())
+    try:
+        doc = json.loads(Path(args.report).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read report {args.report}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"report {args.report} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {args.report} is not a JSON object")
     if "rows" in doc:  # demo report
+        rows = doc["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ConfigError(f"report {args.report}: rows must be a list of objects")
         keys = ["family", "target", "variant", "status", "semantic_match", "queries"]
         print("| " + " | ".join(keys) + " |")
         print("|" + "---|" * len(keys))
-        for row in doc["rows"]:
+        for row in rows:
             print("| " + " | ".join(str(row.get(k, "")) for k in keys) + " |")
         print()
         print(f"**Conclusion**: {doc.get('conclusion', '')}")
@@ -261,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--target", help="target spec (family-dependent)")
     run_p.add_argument("--engine", help="cegis|mincegis|hcegis|positive-only|simulated-mincegis")
     run_p.add_argument("--generalizer")
-    run_p.add_argument("--strategy", help="first-found|seeded-random|adversarial-max")
+    run_p.add_argument("--strategy",
+                       help="first-found|seeded-random|adversarial-max (cegis, simulated-mincegis)")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--budget", type=int)
     run_p.add_argument("--universe-bound", dest="universe_bound", type=int)

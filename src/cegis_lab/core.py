@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # The padding symbol in traces.  A trace entry is either a natural number
 # or BOT (no information this step).
@@ -125,13 +124,13 @@ class Ordering:
         raise ValueError("least element of an empty set")
 
 
-@dataclass(frozen=True, eq=False)
-class Language:
+class Language(NamedTuple):
     """A set of naturals within [0, universe_bound], held as an int bitmask:
     n is a member iff bit n of ``mask`` is set.
 
     ``ordering`` is the family's element ordering, which decides the
-    minimal counterexample; None is the natural order.
+    minimal counterexample; None is the natural order.  Compare languages
+    with ``semantically_equal``, not ``==``: the descriptor is a label.
     """
 
     mask: int
@@ -220,21 +219,11 @@ def smpl(entries: Iterable[TraceEntry]) -> frozenset:
     return frozenset(e for e in entries if e is not BOT)
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
-    """The recursive map TEMPLATE(i, n) together with language construction."""
-
-    name: str
-    template: Callable[[int, int], int]
-    make_language: Callable[[int], Language]
-
-
-@dataclass(frozen=True, eq=False)
-class Program:
+class Program(NamedTuple):
     """An index into a candidate space plus bounded engine-owned state.
 
     Two programs are semantically equal iff their languages agree on the
-    universe; ``aux`` never participates in identity.
+    universe (``semantic_key``); ``aux`` never participates in identity.
     """
 
     family: str

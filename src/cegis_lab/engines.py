@@ -9,7 +9,7 @@ engine variants so that only the verifier changes between experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     BOT,
@@ -61,8 +61,7 @@ class Generalizer:
     step: StepFn
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     entry: TraceEntry
     candidate: str
@@ -219,8 +218,7 @@ def run_engine(
 # Per-family generalizers
 
 
-@dataclass(frozen=True)
-class ChainAux:
+class ChainAux(NamedTuple):
     frozen: bool = False
 
 
@@ -245,8 +243,7 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
     return Generalizer("chain", make(0, False), step)
 
 
-@dataclass(frozen=True)
-class RectAux:
+class RectAux(NamedTuple):
     # Inner hull of positive examples as a bounding box, or None.
     hull: Optional[tuple[int, int, int, int]] = None
 
@@ -307,7 +304,8 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
         hull = prev.aux.hull
         if entry is not BOT:
             x, y = family.decode(entry)
-            hull = hull_add(hull, x, y)
+            if hull is None or not (hull[0] <= x <= hull[1] and hull[2] <= y <= hull[3]):
+                hull = hull_add(hull, x, y)
             ax, bx, ay, by = bounds
             # Repair: a positive example outside the bounds re-expands them.
             if not (ax <= x <= bx and ay <= y <= by):
@@ -324,8 +322,7 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
     return Generalizer("rectangle", make((-g, g, -g, g), None), step)
 
 
-@dataclass(frozen=True)
-class DiagAux:
+class DiagAux(NamedTuple):
     mode: str = "A"  # A: only <0, .> seen; B: some <1, .> seen
     min_j: Optional[int] = None
     x_max: Optional[int] = None
@@ -388,8 +385,7 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
     return Generalizer("diagonal", initial, step)
 
 
-@dataclass(frozen=True)
-class GoldAux:
+class GoldAux(NamedTuple):
     frozen: bool = False
 
 
@@ -496,9 +492,9 @@ def simulate_min_via_arbitrary(
     order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
 
     lce = LceMap()
-    p_sim = generalizer.initial
     p_last = generalizer.initial
-    probing = False
+    # While a sweep runs, the singleton probe {order[mu]} & p_last; else None.
+    probe: Optional[Language] = None
     mu = 0
     backlog: list[TraceEntry] = []
     tau_done = 0
@@ -510,12 +506,6 @@ def simulate_min_via_arbitrary(
     last_change = 0
     since_progress = 0
     status: Optional[str] = None
-
-    def probe_program(elem: int) -> Program:
-        return Program(
-            p_last.family, ("probe", elem),
-            p_last.language.intersect_singleton(elem), None,
-        )
 
     def replay_from(start: Program, avail: list[TraceEntry]):
         nonlocal backlog, tau_done, since_progress
@@ -534,35 +524,31 @@ def simulate_min_via_arbitrary(
         if since_progress > len(order) + 2:
             raise EngineFaultError("simulation stopped making progress")
 
-        if not probing:
-            verdict = check(p_sim.language, target, strategy)
+        if probe is None:
+            cex = check(p_last.language, target, strategy).counterexample
             queries += 1
-            records.append(
-                IterationRecord(m, entry, p_sim.descriptor(), verdict.counterexample, "conjecture")
-            )
-            if not verdict.is_bot:
+            records.append(IterationRecord(m, entry, p_last.descriptor(), cex, "conjecture"))
+            if cex is not None:
                 cex_count += 1
-                if lce.get(p_sim) is not _TOP:  # Case 1.1.1
-                    prog = replay_from(p_sim, backlog + [entry])
+                streak = 0
+                if lce.get(p_last) is not _TOP:  # Case 1.1.1
+                    prog = replay_from(p_last, backlog + [entry])
                     records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-                    if prog.semantic_key() != p_sim.semantic_key():
+                    if prog.semantic_key() != p_last.semantic_key():
                         last_change = m
-                    p_sim = p_last = prog
-                    streak = 0
+                    p_last = prog
                 else:  # Case 1.1.2
                     backlog.append(entry)
                     mu = 0
-                    p_sim = probe_program(order[0])
-                    probing = True
-                    streak = 0
+                    probe = p_last.language.intersect_singleton(order[0])
             else:  # Case 1.2
-                lce.set(p_sim, None)
-                prog = replay_from(p_sim, backlog + [entry])
-                changed = prog.semantic_key() != p_sim.semantic_key()
+                lce.set(p_last, None)
+                prog = replay_from(p_last, backlog + [entry])
+                changed = prog.semantic_key() != p_last.semantic_key()
                 if changed:
                     last_change = m
                     records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-                p_sim = p_last = prog
+                p_last = prog
                 streak = 0 if changed else streak + 1
                 if _is_frozen(prog) or (
                     streak >= stability_window
@@ -571,21 +557,19 @@ def simulate_min_via_arbitrary(
                     status = CONVERGED
                     break
         else:
-            verdict = check(p_sim.language, target, strategy)
+            cex = check(probe, target, strategy).counterexample
             queries += 1
-            records.append(
-                IterationRecord(m, entry, p_sim.descriptor(), verdict.counterexample, "probe")
-            )
-            if not verdict.is_bot:  # Case 2.1: the probe's sole element
+            records.append(IterationRecord(m, entry, probe.descriptor, cex, "probe"))
+            if cex is not None:  # Case 2.1: the probe's sole element
                 cex_count += 1
-                lce.set(p_last, verdict.counterexample)
+                lce.set(p_last, cex)
                 mu = 0
-                probing = False
+                probe = None
                 prog = replay_from(p_last, backlog + [entry])
                 records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
                 if prog.semantic_key() != p_last.semantic_key():
                     last_change = m
-                p_sim = p_last = prog
+                p_last = prog
                 streak = 0
             else:  # Case 2.2
                 mu += 1
@@ -594,8 +578,10 @@ def simulate_min_via_arbitrary(
                         "probe sweep exhausted the universe without a counterexample"
                     )
                 backlog.append(entry)
-                p_sim = probe_program(order[mu])
+                probe = p_last.language.intersect_singleton(order[mu])
 
+    # A run cut mid-sweep reports the pending probe as its simulated program.
+    p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
     final = p_last
     match = semantically_equal(final.language, target)
     if status is None:

@@ -11,7 +11,6 @@ from operator import or_
 from typing import Iterable
 
 from .core import (
-    IndexedFamily,
     Language,
     Ordering,
     pair_decode,
@@ -51,9 +50,6 @@ class ChainFamily:
 
     def template(self, i: int, n: int) -> int:
         return 1 if n <= i else 0
-
-    def indexed(self) -> IndexedFamily:
-        return IndexedFamily("chain", self.template, self.language)
 
 
 @dataclass(frozen=True)
@@ -123,10 +119,6 @@ class RectangleFamily:
         x, y = point_decode(n)
         return 1 if ax <= x <= bx and ay <= y <= by else 0
 
-    def index_of(self, ax: int, bx: int, ay: int, by: int) -> int:
-        za, zb, zc, zd = map(zigzag_encode, (ax, bx, ay, by))
-        return pair_encode(pair_encode(za, zb), pair_encode(zc, zd))
-
 
 @dataclass(frozen=True)
 class DiagonalFamily:
@@ -175,9 +167,6 @@ class DiagonalFamily:
         a, b = pair_decode(n)
         return 1 if a == 0 and i <= b <= self.base_max else 0
 
-    def indexed(self) -> IndexedFamily:
-        return IndexedFamily("diagonal", self.template, self.diag_language)
-
 
 @dataclass(frozen=True)
 class GoldFamily:
@@ -205,8 +194,3 @@ class GoldFamily:
         if i == 0:
             return 1
         return 0 if n == i - 1 else 1
-
-    def indexed(self) -> IndexedFamily:
-        return IndexedFamily("gold", self.template, lambda i: (
-            self.full_language() if i == 0 else self.minus_language(i - 1)
-        ))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import Language, TraceEntry, bits, smpl
 
@@ -26,8 +26,7 @@ class StrategyInfeasibleError(RuntimeError):
     """The avoid-set constraint leaves no selectable counterexample."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Either no-counterexample (None) or a single counterexample element."""
 
     counterexample: Optional[int]

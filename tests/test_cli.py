@@ -112,6 +112,20 @@ def test_golden_log_regression(tmp_path):
     assert (tmp_path / "chain-cegis-5.jsonl").read_bytes() == golden
 
 
+def test_golden_simulation_log_regression(tmp_path):
+    # Pins every probe record and its "...&{k}" descriptor of a rectangle run.
+    assert run_cli("run", "--family", "rectangle", "--target=-1,1,-1,1",
+                   "--engine", "simulated-mincegis", "--out", str(tmp_path)) == 0
+    name = "rectangle-simulated-mincegis--1_1_-1_1.jsonl"
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_golden_demo_theorem1_report(tmp_path):
+    assert run_cli("demo", "theorem1", "--out", str(tmp_path)) == 0
+    name = "demo-theorem1.json"
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_demo_subcommand_writes_reports(tmp_path):
     assert run_cli("demo", "lemma1", "--imax", "5", "--out", str(tmp_path)) == 0
     md = (tmp_path / "demo-lemma1.md").read_text()
@@ -146,6 +160,7 @@ def test_summary_queries_recomputable_from_log(tmp_path):
 
 
 CHAIN5 = ("run", "--family", "chain", "--target", "5", "--engine", "cegis")
+CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
 
 
 @pytest.mark.parametrize("argv", [
@@ -153,6 +168,14 @@ CHAIN5 = ("run", "--family", "chain", "--target", "5", "--engine", "cegis")
     CHAIN5 + ("--budget", "-3"),
     CHAIN5 + ("--strategy", "nosuch"),
     CHAIN5 + ("--schedule", "nosuch"),
+    # A strategy for an engine that never asks the arbitrary oracle.
+    CHAIN7 + ("mincegis", "--strategy", "adversarial-max"),
+    CHAIN7 + ("hcegis", "--strategy", "first-found"),
+    CHAIN7 + ("positive-only", "--strategy", "seeded-random", "--seed", "9"),
+    ("run", "--config", "{tmp}/mincegis-strategy.cfg"),
+    # consistent-avoiding has no way to receive its avoid set.
+    CHAIN7 + ("cegis", "--strategy", "consistent-avoiding"),
+    CHAIN7 + ("simulated-mincegis", "--strategy", "consistent-avoiding"),
     ("run", "--config", "{tmp}/missing.cfg"),
     ("run", "--config", "{tmp}/bad-budget.cfg"),
     ("run", "--family", "rectangle", "--target=-1,1,-1,1", "--universe-bound", "100"),
@@ -168,6 +191,8 @@ CHAIN5 = ("run", "--family", "chain", "--target", "5", "--engine", "cegis")
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
+    (tmp_path / "mincegis-strategy.cfg").write_text(
+        "family = chain\ntarget = 7\nengine = mincegis\nstrategy = first-found\n")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == 1
@@ -214,3 +239,27 @@ def test_rectangle_runs_do_not_import_numpy(tmp_path):
 def test_no_runtime_dependencies():
     pyproject = Path(cegis_lab.__file__).parents[2] / "pyproject.toml"
     assert "\ndependencies = []\n" in pyproject.read_text()
+
+
+@pytest.mark.parametrize("engine,strategy", [
+    ("cegis", "adversarial-max"),
+    ("simulated-mincegis", "seeded-random"),
+])
+def test_strategy_is_accepted_where_it_is_used(tmp_path, engine, strategy):
+    assert run_cli(*CHAIN7, engine, "--strategy", strategy, "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("name,content", [
+    ("missing.json", None),
+    ("broken.json", "{not json"),
+    ("list.json", "[1,2]"),
+    ("rows.json", '{"rows": 5}'),
+])
+def test_table_bad_report_exits_1_with_a_message(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    assert run_cli("table", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""

@@ -21,11 +21,13 @@ from cegis_lab.engines import (
     HCEGIS,
     EngineFaultError,
     InconsistentOracleError,
+    IterationRecord,
     LceMap,
     MINCEGIS,
     POSITIVE_ONLY,
     STALLED,
     ProbeOverflowError,
+    RectAux,
     Undefined,
     _TOP,
     chain_generalizer,
@@ -37,7 +39,7 @@ from cegis_lab.engines import (
     t_lce_replay,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.verifiers import hcheck, mincheck
+from cegis_lab.verifiers import Verdict, hcheck, mincheck
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,16 @@ def test_rectangle_step_examples():
 
     shrunk_x = gen.step(shrunk_y, BOT, point_encode(2, 0))
     assert shrunk_x.index == (-g, 1, -g, 1)
+
+
+def test_rectangle_entry_inside_the_hull_returns_prev():
+    fam = RectangleFamily()
+    gen = rectangle_generalizer(fam)
+    prog = gen.step(gen.initial, point_encode(-1, -1), None)
+    prog = gen.step(prog, point_encode(2, 1), None)
+    assert prog.aux.hull == (-1, 2, -1, 1)
+    for x, y in ((0, 0), (-1, 1), (2, -1)):
+        assert gen.step(prog, point_encode(x, y), None) is prog
 
 
 def test_rectangle_cex_inside_hull_is_inconsistent():
@@ -305,6 +317,40 @@ def test_simulation_consumes_trace_monotonically():
     assert sim.status == CONVERGED
     assert sim.sim_state.tau_done_len <= len(trace)
     assert sim.sim_state.tau_done_len > 0
+
+
+def test_simulation_cut_mid_sweep_reports_the_pending_probe():
+    fam = RectangleFamily(grid_bound=4)
+    target = fam.language(-1, 1, -1, 1)
+    trace = trace_generate(target, "canonical", length=60)
+    # Budget 18 stops inside the second sweep, after six probes of rect[-1,4,-4,4].
+    sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=18)
+    state = sim.sim_state
+    assert sim.status == BUDGET_EXHAUSTED and state.mu == 6
+    p_last, p_sim = state.p_last, state.p_sim
+    assert p_last.descriptor() == "rect[-1,4,-4,4]"
+    k = target.ordering.order[state.mu]
+    assert p_sim.index == ("probe", k) and p_sim.family == p_last.family
+    assert p_sim.descriptor() == f"{p_last.descriptor()}&{{{k}}}"
+    assert p_sim.language.mask == p_last.language.mask & 1 << k
+    assert sim.iterations[-1].event == "probe"
+    assert sim.iterations[-1].candidate == f"{p_last.descriptor()}&{{{target.ordering.order[5]}}}"
+
+
+def test_value_types_are_immutable():
+    lang = explicit_language({1, 2}, 5)
+    values = [
+        (lang, "mask"),
+        (Program("chain", 0, lang), "language"),
+        (Verdict(3), "counterexample"),
+        (IterationRecord(1, None, "chain[0]", None, "conjecture"), "event"),
+        (RectAux(), "hull"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 @pytest.mark.parametrize("schedule", ["seeded-random", "padded-seeded"])
