@@ -30,7 +30,6 @@ from .engines import (
     rectangle_generalizer,
     run_engine,
     simulate_min_via_arbitrary,
-    t_lce_replay,
 )
 from .harness import convergence_verdict, demo_gold, demo_lemma1, demo_lemma2, demo_rectangle, demo_theorem1
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import harness
-from .core import CANONICAL, Language, Trace, pair_decode, trace_generate
+from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, Language, trace_generate
 from .engines import (
     CEGIS,
     CONVERGED,
@@ -38,7 +38,7 @@ from .engines import (
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from .logio import run_jsonl, summary_dict
-from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, CexStrategy
+from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, SEEDED_RANDOM as RANDOM_CEX, CexStrategy
 
 
 class ConfigError(ValueError):
@@ -116,16 +116,6 @@ def _build_generalizer(family_name: str, family, name: Optional[str]) -> General
     return builders[chosen](family)
 
 
-def _decoder_for(family_name: str):
-    if family_name == "rectangle":
-        from .core import point_decode
-
-        return point_decode
-    if family_name == "diagonal":
-        return pair_decode
-    return None
-
-
 def _out_dir(arg: Optional[str]) -> Path:
     base = arg or os.environ.get("CEGIS_LAB_LOG_DIR") or "."
     path = Path(base)
@@ -163,7 +153,7 @@ def cmd_run(args) -> int:
     family = _build_family(family_name, pick(args.universe_bound, "universe_bound", int))
     target = _build_target(family, family_name, target_spec)
     generalizer = _build_generalizer(family_name, family, pick(args.generalizer, "generalizer"))
-    seed = pick(args.seed, "seed", int, default=0)
+    seed = pick(args.seed, "seed", int)
     budget = _check_budget(pick(args.budget, "budget", int, harness.default_budget(target)))
     schedule = pick(args.schedule, "schedule", default=CANONICAL)
     window = min(harness.default_stability_window(target), budget)
@@ -174,6 +164,10 @@ def cmd_run(args) -> int:
     if kind == CONSISTENT_AVOIDING:
         raise ConfigError("strategy consistent-avoiding needs an avoid set, "
                           "which the command line cannot give")
+    if seed is not None and schedule not in (SEEDED_RANDOM, PADDED_SEEDED) and kind != RANDOM_CEX:
+        raise ConfigError(f"seed {seed} is unused: only the seeded-random and padded-seeded "
+                          "schedules and the seeded-random strategy read it")
+    seed = seed or 0
     try:
         strategy = CexStrategy(kind=kind or FIRST_FOUND, seed=seed)
         trace = trace_generate(target, schedule, seed=seed, length=budget)
@@ -188,23 +182,18 @@ def cmd_run(args) -> int:
             engine, target, trace, generalizer, strategy,
             budget=budget, stability_window=window,
         )
-    verdict = harness.convergence_verdict(run, target)
 
     out = _out_dir(args.out)
     stem = f"{family_name}-{engine}-{target_spec.replace(':', '_').replace(',', '_')}"
     log_path = out / f"{stem}.jsonl"
-    log_path.write_text(run_jsonl(run, _decoder_for(family_name)))
-    summary = summary_dict(run)
-    summary["verdict"] = verdict.status
-    summary["semantic_match"] = verdict.semantic_match
+    log_path.write_text(run_jsonl(run, getattr(family, "decode", None)))
     summary_path = out / f"{stem}.summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"{verdict.status} match={verdict.semantic_match} "
-          f"queries={run.queries} log={log_path}")
+    summary_path.write_text(json.dumps(summary_dict(run), indent=2, sort_keys=True) + "\n")
+    print(f"{run.status} match={run.semantic_match} queries={run.queries} log={log_path}")
 
-    if verdict.status == CONVERGED and verdict.semantic_match:
+    if run.status == CONVERGED and run.semantic_match:
         return 0
-    if verdict.status == STALLED or verdict.status == CONVERGED:
+    if run.status == STALLED or run.status == CONVERGED:
         return 2
     return 3
 

@@ -98,6 +98,62 @@ def _is_frozen(program: Program) -> bool:
     return bool(getattr(program.aux, "frozen", False))
 
 
+class _Tally:
+    """The bookkeeping both engine loops share: the records, the query and
+    counterexample counts, the stability streak, and the one rule that
+    classifies a finished run."""
+
+    def __init__(self, target: Language, window: int):
+        self.target = target
+        self.window = window
+        self.records: list[IterationRecord] = []
+        self.queries = 0
+        self.cex_count = 0
+        self.streak = 0
+        self.last_change = 0
+
+    def query(self, i: int, entry: TraceEntry, candidate: str, cex: Optional[int], event: str):
+        self.records.append(IterationRecord(i, entry, candidate, cex, event))
+        self.queries += 1
+        if cex is not None:
+            self.cex_count += 1
+
+    def settle(self, i: int, changed: bool, cex: Optional[int]) -> None:
+        if changed:
+            self.last_change = i
+        self.streak = 0 if changed or cex is not None else self.streak + 1
+
+    def stable(self, program: Program) -> bool:
+        """Unrefuted for the whole window, and either refuted once before or
+        right: a run that was never refuted has learned nothing from it."""
+        return self.streak >= self.window and (
+            self.cex_count > 0 or semantically_equal(program.language, self.target)
+        )
+
+    def finish(
+        self, variant: str, final: Program, converged: bool,
+        probes: int = 0, sim_state: Optional[SimState] = None,
+    ) -> EngineRun:
+        match = semantically_equal(final.language, self.target)
+        if converged:
+            status = CONVERGED
+        elif not self.records:
+            status = BUDGET_EXHAUSTED
+        elif self.cex_count == 0 and not match:
+            # Never refuted and wrong: the observable signature of
+            # non-identifiability at this budget.
+            status = STALLED
+        elif self.streak >= min(self.window, len(self.records)) and match:
+            status = CONVERGED
+        else:
+            status = BUDGET_EXHAUSTED
+        return EngineRun(
+            variant, self.records, final, status,
+            self.last_change if status == CONVERGED else None,
+            self.queries, probes, self.cex_count, self.window, match, sim_state,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Engine loop
 
@@ -121,26 +177,16 @@ def run_engine(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown engine variant: {variant}")
-    if budget < 1:
-        return EngineRun(
-            variant, [], generalizer.initial, BUDGET_EXHAUSTED, None, 0, 0, 0,
-            stability_window,
-            semantically_equal(generalizer.initial.language, target),
-        )
     strategy = strategy or CexStrategy()
     limit = min(budget, len(trace))
 
-    records: list[IterationRecord] = []
+    tally = _Tally(target, stability_window)
     current = generalizer.initial
     # hcheck depends on a history only through its largest sample, so the
     # history handed to it is (largest non-BOT entry read so far,) or ().
     history: tuple[int, ...] = ()
-    queries = 0
     probes = 0
-    cex_count = 0
-    streak = 0
-    last_change = 0
-    status: Optional[str] = None
+    converged = False
 
     for i in range(1, limit + 1):
         entry = trace[i - 1]
@@ -154,9 +200,8 @@ def run_engine(
             verdict = hcheck(prev.language, target, history)
         else:  # positive-only ablation: the counterexample channel is cut
             verdict = NO_CEX
-        queries += 1
-        if not verdict.is_bot:
-            cex_count += 1
+        cex = verdict.counterexample
+        tally.query(i, entry, prev.descriptor(), cex, "conjecture")
 
         probe: Optional[ProbeFn] = None
         if variant == HCEGIS:
@@ -170,48 +215,18 @@ def run_engine(
                     raise ProbeOverflowError(f"more than {probe_cap} probes")
                 return hcheck(lang, target, _h)
 
-        current = generalizer.step(prev, entry, verdict.counterexample, probe)
-        records.append(
-            IterationRecord(i, entry, prev.descriptor(), verdict.counterexample, "conjecture")
-        )
-
+        current = generalizer.step(prev, entry, cex, probe)
         changed = current is not prev and current.semantic_key() != prev.semantic_key()
-        if changed:
-            last_change = i
-            streak = 0
-        elif verdict.is_bot:
-            streak += 1
-        else:
-            streak = 0
+        tally.settle(i, changed, cex)
 
-        if _is_frozen(current):
-            records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
-            status = CONVERGED
-            break
-        if streak >= stability_window and (
-            cex_count > 0 or semantically_equal(current.language, target)
-        ):
-            status = CONVERGED
+        frozen = _is_frozen(current)
+        if frozen:
+            tally.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
+        if frozen or tally.stable(current):
+            converged = True
             break
 
-    match = semantically_equal(current.language, target)
-    if status is None:
-        if not records:
-            status = BUDGET_EXHAUSTED
-        elif cex_count == 0 and not match:
-            # Never refuted and wrong: the observable signature of
-            # non-identifiability at this budget.
-            status = STALLED
-        elif streak >= min(stability_window, len(records)) and match:
-            status = CONVERGED
-        else:
-            status = BUDGET_EXHAUSTED
-
-    converged_at = last_change if status == CONVERGED else None
-    return EngineRun(
-        variant, records, current, status, converged_at, queries, probes,
-        cex_count, stability_window, match,
-    )
+    return tally.finish(variant, current, converged, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +452,6 @@ class LceMap:
         return len(self._entries)
 
 
-@dataclass(frozen=True)
-class Undefined:
-    at: Program
-
-
 def _replay_longest(
     lce: LceMap, start: Program, entries: list[TraceEntry], step: StepFn
 ) -> tuple[Program, int]:
@@ -456,16 +466,6 @@ def _replay_longest(
         prog = step(prog, e, value, None)
         consumed += 1
     return prog, consumed
-
-
-def t_lce_replay(
-    lce: LceMap, p0: Program, prefix: list[TraceEntry], generalizer: Generalizer
-):
-    """Replay over a full prefix; Undefined names the stuck program."""
-    prog, consumed = _replay_longest(lce, p0, list(prefix), generalizer.step)
-    if consumed < len(prefix):
-        return Undefined(at=prog)
-    return prog
 
 
 def simulate_min_via_arbitrary(
@@ -499,21 +499,23 @@ def simulate_min_via_arbitrary(
     backlog: list[TraceEntry] = []
     tau_done = 0
 
-    records: list[IterationRecord] = []
-    queries = 0
-    cex_count = 0
-    streak = 0
-    last_change = 0
+    tally = _Tally(target, stability_window)
     since_progress = 0
-    status: Optional[str] = None
+    converged = False
 
-    def replay_from(start: Program, avail: list[TraceEntry]):
+    def replay_from(m: int, cex: Optional[int], start: Program, avail: list[TraceEntry]):
+        """Replay the backlog from ``start`` as far as the cache allows and
+        log the result: always after a counterexample, else only on a change."""
         nonlocal backlog, tau_done, since_progress
         prog, consumed = _replay_longest(lce, start, avail, step)
         backlog = avail[consumed:]
         tau_done += consumed
         if consumed:
             since_progress = 0
+        changed = prog.semantic_key() != start.semantic_key()
+        tally.settle(m, changed, cex)
+        if cex is not None or changed:
+            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         return prog
 
     for m in range(1, limit + 1):
@@ -526,51 +528,27 @@ def simulate_min_via_arbitrary(
 
         if probe is None:
             cex = check(p_last.language, target, strategy).counterexample
-            queries += 1
-            records.append(IterationRecord(m, entry, p_last.descriptor(), cex, "conjecture"))
-            if cex is not None:
-                cex_count += 1
-                streak = 0
-                if lce.get(p_last) is not _TOP:  # Case 1.1.1
-                    prog = replay_from(p_last, backlog + [entry])
-                    records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-                    if prog.semantic_key() != p_last.semantic_key():
-                        last_change = m
-                    p_last = prog
-                else:  # Case 1.1.2
-                    backlog.append(entry)
-                    mu = 0
-                    probe = p_last.language.intersect_singleton(order[0])
-            else:  # Case 1.2
+            tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
+            if cex is None:  # Case 1.2
                 lce.set(p_last, None)
-                prog = replay_from(p_last, backlog + [entry])
-                changed = prog.semantic_key() != p_last.semantic_key()
-                if changed:
-                    last_change = m
-                    records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-                p_last = prog
-                streak = 0 if changed else streak + 1
-                if _is_frozen(prog) or (
-                    streak >= stability_window
-                    and (cex_count > 0 or semantically_equal(prog.language, target))
-                ):
-                    status = CONVERGED
+                p_last = replay_from(m, None, p_last, backlog + [entry])
+                if _is_frozen(p_last) or tally.stable(p_last):
+                    converged = True
                     break
+            elif lce.get(p_last) is not _TOP:  # Case 1.1.1
+                p_last = replay_from(m, cex, p_last, backlog + [entry])
+            else:  # Case 1.1.2
+                backlog.append(entry)
+                mu = 0
+                probe = p_last.language.intersect_singleton(order[0])
         else:
             cex = check(probe, target, strategy).counterexample
-            queries += 1
-            records.append(IterationRecord(m, entry, probe.descriptor, cex, "probe"))
+            tally.query(m, entry, probe.descriptor, cex, "probe")
             if cex is not None:  # Case 2.1: the probe's sole element
-                cex_count += 1
                 lce.set(p_last, cex)
                 mu = 0
                 probe = None
-                prog = replay_from(p_last, backlog + [entry])
-                records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-                if prog.semantic_key() != p_last.semantic_key():
-                    last_change = m
-                p_last = prog
-                streak = 0
+                p_last = replay_from(m, cex, p_last, backlog + [entry])
             else:  # Case 2.2
                 mu += 1
                 if mu >= len(order):
@@ -582,21 +560,7 @@ def simulate_min_via_arbitrary(
 
     # A run cut mid-sweep reports the pending probe as its simulated program.
     p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
-    final = p_last
-    match = semantically_equal(final.language, target)
-    if status is None:
-        if not records:
-            status = BUDGET_EXHAUSTED
-        elif cex_count == 0 and not match:
-            status = STALLED
-        elif streak >= min(stability_window, len(records)) and match:
-            status = CONVERGED
-        else:
-            status = BUDGET_EXHAUSTED
-
-    return EngineRun(
-        SIMULATED_MINCEGIS, records, final, status,
-        last_change if status == CONVERGED else None,
-        queries, 0, cex_count, stability_window, match,
+    return tally.finish(
+        SIMULATED_MINCEGIS, p_last, converged,
         sim_state=SimState(lce, p_sim, p_last, mu, tuple(backlog), tau_done),
     )

@@ -17,6 +17,7 @@ from .core import (
     pair_encode,
     point_decode,
     point_encode,
+    zigzag_decode,
     zigzag_encode,
 )
 
@@ -82,8 +83,7 @@ class RectangleFamily:
         g = self.grid_bound
         return pair_encode(zigzag_encode(g), zigzag_encode(g))
 
-    def decode(self, code: int) -> tuple[int, int]:
-        return point_decode(code)
+    decode = staticmethod(point_decode)
 
     @staticmethod
     def ordering_key(code: int) -> tuple:
@@ -111,8 +111,6 @@ class RectangleFamily:
         ab, cd = pair_decode(i)
         za, zb = pair_decode(ab)
         zc, zd = pair_decode(cd)
-        from .core import zigzag_decode
-
         ax, bx, ay, by = map(zigzag_decode, (za, zb, zc, zd))
         if ax > bx or ay > by:
             return 0
@@ -130,6 +128,8 @@ class DiagonalFamily:
     """
 
     universe_bound: int = 600
+
+    decode = staticmethod(pair_decode)
 
     @property
     def base_max(self) -> int:

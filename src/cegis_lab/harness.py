@@ -1,12 +1,12 @@
-"""Experiment orchestration: convergence verdicts, the headline
-demonstrations, and report assembly.
+"""Experiment orchestration: the headline demonstrations and report
+assembly.
 
-Identification "in the limit" is not decidable from a finite run, so the
-harness verdict is a finite proxy: stability of the conjecture under
-no-counterexample verdicts, with the ground-truth semantic match reported
-alongside rather than folded in.  A run that was never refuted and ended
-wrong is reported as stalled; that is the observable signature of
-non-identifiability in every separation demo here.
+Identification "in the limit" is not decidable from a finite run, so each
+run's status, set by the engine, is a finite proxy: stability of the
+conjecture under no-counterexample verdicts, with the ground-truth
+semantic match reported alongside rather than folded in.  A run that was
+never refuted and ended wrong is reported as stalled; that is the
+observable signature of non-identifiability in every separation demo here.
 """
 from __future__ import annotations
 
@@ -15,18 +15,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    BOT,
     CANONICAL,
     PADDED_SEEDED,
     Language,
     Trace,
     pair_encode,
     semantically_equal,
-    smpl,
     trace_generate,
 )
 from .engines import (
-    BUDGET_EXHAUSTED,
     CEGIS,
     CONVERGED,
     HCEGIS,
@@ -62,33 +59,12 @@ def default_budget(target: Language) -> int:
     return 10 * max(target.universe_bound, 1)
 
 
-def convergence_verdict(
-    run: EngineRun, target: Language, stability_window: Optional[int] = None
-) -> HarnessVerdict:
-    """Recompute the verdict from the run's own records."""
-    window = stability_window if stability_window is not None else run.stability_window
-    match = semantically_equal(run.final.language, target)
-    if not run.iterations:
-        return HarnessVerdict(BUDGET_EXHAUSTED, None, match)
-    if run.cex_count == 0 and not match:
-        return HarnessVerdict(STALLED, None, match)
-    if any(r.event == "freeze" for r in run.iterations):
-        return HarnessVerdict(CONVERGED, run.converged_at, match)
-    # Trailing stability: same conjecture, no refutation.
-    tail = 0
-    last = run.iterations[-1].candidate
-    for r in reversed(run.iterations):
-        if r.event == "replay":
-            continue
-        if r.candidate == last and r.cex is None:
-            tail += 1
-        else:
-            break
-    if tail >= min(window, len(run.iterations)) and match:
-        return HarnessVerdict(CONVERGED, run.converged_at, match)
-    if run.status == CONVERGED:
-        return HarnessVerdict(CONVERGED, run.converged_at, match)
-    return HarnessVerdict(BUDGET_EXHAUSTED, None, match)
+def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
+    """The engine's own status and convergence point, and whether the final
+    conjecture equals ``target``."""
+    return HarnessVerdict(
+        run.status, run.converged_at, semantically_equal(run.final.language, target)
+    )
 
 
 @dataclass
@@ -248,21 +224,19 @@ def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
         trace = trace_generate(target, CANONICAL, length=budget)
 
         c_run = run_engine(CEGIS, target, trace, gen, budget=budget)
-        c_verdict = convergence_verdict(c_run, target)
         rows.append(ReportRow(
-            "chain", target.descriptor, CEGIS, None, c_verdict.status,
-            c_verdict.semantic_match, c_run.queries, c_run.cex_count,
+            "chain", target.descriptor, CEGIS, None, c_run.status,
+            c_run.semantic_match, c_run.queries, c_run.cex_count,
         ))
-        ok = ok and c_verdict.status == CONVERGED and c_verdict.semantic_match
+        ok = ok and c_run.status == CONVERGED and c_run.semantic_match
         ok = ok and c_run.queries == i + 2
 
         h_run = run_engine(HCEGIS, target, trace, gen, budget=budget)
-        h_verdict = convergence_verdict(h_run, target)
         rows.append(ReportRow(
-            "chain", target.descriptor, HCEGIS, None, h_verdict.status,
-            h_verdict.semantic_match, h_run.queries, h_run.cex_count,
+            "chain", target.descriptor, HCEGIS, None, h_run.status,
+            h_run.semantic_match, h_run.queries, h_run.cex_count,
         ))
-        ok = ok and h_verdict.status == STALLED and h_run.cex_count == 0
+        ok = ok and h_run.status == STALLED and h_run.cex_count == 0
 
     conclusion = (
         "arbitrary counterexamples identify every chain target with i+2 subset "
@@ -302,13 +276,12 @@ def demo_lemma2(
     for target in targets:
         run = run_engine(HCEGIS, target, trace_generate(target, CANONICAL, length=budget),
                          gen, budget=budget)
-        verdict = convergence_verdict(run, target)
         rows.append(ReportRow(
-            "diagonal", target.descriptor, HCEGIS, None, verdict.status,
-            verdict.semantic_match, run.queries, run.cex_count,
+            "diagonal", target.descriptor, HCEGIS, None, run.status,
+            run.semantic_match, run.queries, run.cex_count,
             {"probes": run.probes},
         ))
-        ok = ok and verdict.status == CONVERGED and verdict.semantic_match
+        ok = ok and run.status == CONVERGED and run.semantic_match
 
     # Negative direction: crafted indistinguishable pairs for the
     # arbitrary-counterexample engine.
@@ -401,28 +374,26 @@ def demo_gold(budget: int = 60, sample: Sequence[int] = (0, 5, 17, 33, 50)) -> S
     for target in targets:
         run = run_engine(CEGIS, target, trace_generate(target, CANONICAL, length=budget),
                          gen, budget=budget)
-        verdict = convergence_verdict(run, target)
         conjectures = len({r.candidate for r in run.iterations})
         rows.append(ReportRow(
-            "gold", target.descriptor, CEGIS, None, verdict.status,
-            verdict.semantic_match, run.queries, run.cex_count,
+            "gold", target.descriptor, CEGIS, None, run.status,
+            run.semantic_match, run.queries, run.cex_count,
             {"conjectures": conjectures},
         ))
-        ok = ok and verdict.status == CONVERGED and verdict.semantic_match
+        ok = ok and run.status == CONVERGED and run.semantic_match
         ok = ok and conjectures <= 2
 
         # Positive-only ablation: cutting the counterexample channel makes
         # the one-point deletions indistinguishable from the full set.
         ab = run_engine(POSITIVE_ONLY, target, trace_generate(target, CANONICAL, length=budget),
                         gen, budget=budget)
-        ab_verdict = convergence_verdict(ab, target)
         rows.append(ReportRow(
-            "gold", target.descriptor, POSITIVE_ONLY, None, ab_verdict.status,
-            ab_verdict.semantic_match, ab.queries, ab.cex_count,
+            "gold", target.descriptor, POSITIVE_ONLY, None, ab.status,
+            ab.semantic_match, ab.queries, ab.cex_count,
             {"final": ab.final.descriptor()},
         ))
         expected = CONVERGED if target.descriptor == "gold[full]" else STALLED
-        ok = ok and ab_verdict.status == expected
+        ok = ok and ab.status == expected
         ok = ok and ab.final.descriptor() == "gold[full]"
 
     conclusion = (
@@ -442,20 +413,19 @@ def demo_rectangle(budget: int = 600) -> SeparationReport:
     target = family.language(-1, 1, -1, 1)
     trace = trace_generate(target, CANONICAL, length=budget)
     run = run_engine(MINCEGIS, target, trace, gen, budget=budget)
-    verdict = convergence_verdict(run, target)
 
     cexs = [r.cex for r in run.iterations if r.cex is not None]
     first = family.decode(cexs[0]) if cexs else None
     first_key = None if first is None else first[0] ** 2 + first[1] ** 2
     ok = (
-        verdict.status == CONVERGED
-        and verdict.semantic_match
+        run.status == CONVERGED
+        and run.semantic_match
         and first == (-2, 0)
         and first_key == 4
     )
     rows = [ReportRow(
-        "rectangle", target.descriptor, MINCEGIS, None, verdict.status,
-        verdict.semantic_match, run.queries, run.cex_count,
+        "rectangle", target.descriptor, MINCEGIS, None, run.status,
+        run.semantic_match, run.queries, run.cex_count,
         {
             "first_cex": list(first) if first else None,
             "first_cex_radial_key": first_key,

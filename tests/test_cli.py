@@ -67,6 +67,18 @@ def test_run_budget_exhausted_exit_3(tmp_path):
     assert code == 3
 
 
+def test_run_verdict_is_the_engine_status(tmp_path, capsys):
+    # The one step moves chain[0] to chain[1], which the budget never lets
+    # the verifier see: the run has not converged.
+    code = run_cli("run", "--family", "chain", "--target", "1", "--engine", "cegis",
+                   "--budget", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert capsys.readouterr().out.startswith("budget-exhausted ")
+    summary = json.loads((tmp_path / "chain-cegis-1.summary.json").read_text())
+    assert summary["verdict"] == "budget-exhausted"
+    assert summary["converged_at"] is None
+
+
 def test_run_rectangle_target_spec(tmp_path):
     code = run_cli("run", "--family", "rectangle", "--target=-1,1,-1,1",
                    "--engine", "mincegis", "--budget", "400", "--out", str(tmp_path))
@@ -188,11 +200,17 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     # Engine errors: the chain learner climbs past its cap.
     CHAIN5[:-1] + ("hcegis",),
     ("run", "--family", "chain", "--universe-bound", "2", "--target", "0"),
+    # A seed that neither the schedule nor the strategy reads.
+    CHAIN5 + ("--seed", "9"),
+    CHAIN7 + ("mincegis", "--seed", "9"),
+    CHAIN7 + ("cegis", "--strategy", "adversarial-max", "--seed", "3"),
+    ("run", "--config", "{tmp}/unused-seed.cfg"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
     (tmp_path / "mincegis-strategy.cfg").write_text(
         "family = chain\ntarget = 7\nengine = mincegis\nstrategy = first-found\n")
+    (tmp_path / "unused-seed.cfg").write_text("family = chain\ntarget = 5\nseed = 9\n")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == 1
@@ -247,6 +265,15 @@ def test_no_runtime_dependencies():
 ])
 def test_strategy_is_accepted_where_it_is_used(tmp_path, engine, strategy):
     assert run_cli(*CHAIN7, engine, "--strategy", strategy, "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ("--schedule", "padded-seeded"),
+    ("--engine", "cegis", "--strategy", "seeded-random"),
+])
+def test_seed_is_accepted_where_it_is_read(tmp_path, flags):
+    argv = ("run", "--family", "chain", "--target", "5", "--seed", "9", *flags)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
 
 @pytest.mark.parametrize("name,content", [

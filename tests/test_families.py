@@ -1,8 +1,10 @@
 """Indexed families: chain, rectangle, diagonal, gold."""
 
+from itertools import product
+
 import pytest
 
-from cegis_lab.core import pair_encode, point_encode
+from cegis_lab.core import pair_encode, point_encode, zigzag_encode
 from cegis_lab.families import (
     ChainFamily,
     DiagonalFamily,
@@ -49,6 +51,38 @@ def test_chain_template_matches_language():
         lang = fam.language(i)
         for n in range(25):
             assert bool(fam.template(i, n)) == lang.contains(n)
+
+
+def _rectangle_template_cases():
+    fam = RectangleFamily(grid_bound=3)
+    for ax, bx, ay, by in product(range(-3, 4), repeat=4):
+        if ax <= bx and ay <= by:
+            za, zb, zc, zd = map(zigzag_encode, (ax, bx, ay, by))
+            index = pair_encode(pair_encode(za, zb), pair_encode(zc, zd))
+            yield fam, index, fam.language(ax, bx, ay, by)
+
+
+def _diag_template_cases():
+    fam = DiagonalFamily(universe_bound=100)
+    for i in range(fam.base_max + 1):
+        yield fam, i, fam.diag_language(i)
+
+
+def _gold_template_cases():
+    fam = GoldFamily(bound=20)
+    yield fam, 0, fam.full_language()
+    for i in range(fam.bound + 1):
+        yield fam, i + 1, fam.minus_language(i)
+
+
+@pytest.mark.parametrize("cases", [
+    _rectangle_template_cases, _diag_template_cases, _gold_template_cases,
+], ids=["rectangle", "diag", "gold"])
+def test_template_matches_language(cases):
+    """TEMPLATE is the brute-force membership reference for each family."""
+    for fam, index, lang in cases():
+        for n in range(lang.universe_bound + 1):
+            assert bool(fam.template(index, n)) == lang.contains(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,27 @@
 """Harness verdicts, demos, and reports."""
 
+from dataclasses import astuple
+
+import pytest
+
 from cegis_lab.core import pair_encode, trace_generate
 from cegis_lab.engines import (
     BUDGET_EXHAUSTED,
     CEGIS,
     CONVERGED,
     HCEGIS,
+    SIMULATED_MINCEGIS,
     STALLED,
+    VARIANTS,
+    EngineFaultError,
     chain_generalizer,
+    diag_generalizer,
+    gold_generalizer,
+    rectangle_generalizer,
     run_engine,
+    simulate_min_via_arbitrary,
 )
-from cegis_lab.families import ChainFamily, RectangleFamily
+from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from cegis_lab.harness import (
     convergence_verdict,
     default_budget,
@@ -54,6 +65,42 @@ def test_convergence_verdict_budget_zero():
     run = run_engine(CEGIS, target, trace_generate(target, "canonical", length=10),
                      chain_generalizer(fam), budget=0)
     assert convergence_verdict(run, target).status == BUDGET_EXHAUSTED
+
+
+# The README's run targets, one per family.
+README_RUNS = {
+    "chain": (ChainFamily(), chain_generalizer, lambda fam: fam.language(1)),
+    "rectangle": (RectangleFamily(), rectangle_generalizer, lambda fam: fam.language(-1, 1, -1, 1)),
+    "diagonal": (DiagonalFamily(), diag_generalizer, lambda fam: fam.diag_language(3)),
+    "gold": (GoldFamily(), gold_generalizer, lambda fam: fam.minus_language(17)),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+@pytest.mark.parametrize("engine", VARIANTS + (SIMULATED_MINCEGIS,))
+@pytest.mark.parametrize("family", sorted(README_RUNS))
+def test_verdict_is_the_engine_status(family, engine, budget):
+    """Runs set up as `cegis-lab run` sets them up: the harness verdict is the
+    engine's own, and a run has a convergence point exactly when it converged."""
+    fam, make_generalizer, make_target = README_RUNS[family]
+    target = make_target(fam)
+    budget = budget or default_budget(target)
+    window = min(default_stability_window(target), budget)
+    trace = trace_generate(target, "canonical", length=budget)
+    try:
+        if engine == SIMULATED_MINCEGIS:
+            run = simulate_min_via_arbitrary(
+                target, trace, make_generalizer(fam), budget=budget, stability_window=window)
+        else:
+            run = run_engine(engine, target, trace, make_generalizer(fam),
+                             budget=budget, stability_window=window)
+    except EngineFaultError:
+        # Unrefuted at the default budget, the chain learner climbs past its cap.
+        assert family == "chain" and budget == default_budget(target)
+        return
+    assert (run.status == CONVERGED) == (run.converged_at is not None)
+    verdict = convergence_verdict(run, target)
+    assert astuple(verdict) == (run.status, run.converged_at, run.semantic_match)
 
 
 def test_default_knobs_scale_with_target():
