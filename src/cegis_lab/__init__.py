@@ -31,6 +31,6 @@ from .engines import (
     run_engine,
     simulate_min_via_arbitrary,
 )
-from .harness import convergence_verdict, demo_gold, demo_lemma1, demo_lemma2, demo_rectangle, demo_theorem1
+from .harness import demo_gold, demo_lemma1, demo_lemma2, demo_rectangle, demo_theorem1
 
 __version__ = "0.1.0"

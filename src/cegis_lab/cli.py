@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import harness
-from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, Language, trace_generate
+from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, trace_generate
 from .engines import (
     CEGIS,
     CONVERGED,
@@ -26,7 +26,6 @@ from .engines import (
     SIMULATED_MINCEGIS,
     STALLED,
     EngineFaultError,
-    Generalizer,
     InconsistentOracleError,
     ProbeOverflowError,
     chain_generalizer,
@@ -41,7 +40,7 @@ from .logio import run_jsonl, summary_dict
 from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, SEEDED_RANDOM as RANDOM_CEX, CexStrategy
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
@@ -63,57 +62,49 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _build_family(name: str, universe_bound: Optional[int]):
-    if name == "chain":
-        return ChainFamily() if universe_bound is None else ChainFamily(universe_bound - 2)
-    if name == "rectangle":
-        if universe_bound is not None:
-            raise ConfigError("rectangle takes no universe bound: its grid fixes it")
-        return RectangleFamily()
-    if name == "diagonal":
-        return DiagonalFamily() if universe_bound is None else DiagonalFamily(universe_bound)
-    if name == "gold":
-        return GoldFamily() if universe_bound is None else GoldFamily(universe_bound)
-    raise ConfigError(f"unknown family: {name}")
+def _setup(name: str, bound: Optional[int], spec: str):
+    """The family ``name`` at universe bound ``bound`` (None: its default),
+    the target ``spec`` names in it, and the family's generalizer.  The one
+    switch on the family name: each branch holds its family's least bound,
+    target syntax and learner."""
 
+    def at_least(least: int) -> int:
+        if bound < least:
+            raise ConfigError(f"universe bound must be at least {least} for family {name}, "
+                              f"got {bound}")
+        return bound
 
-def _build_target(family, name: str, spec: str) -> Language:
     try:
         if name == "chain":
-            return family.language(int(spec))
+            family = ChainFamily() if bound is None else ChainFamily(at_least(2) - 2)
+            return family, family.language(int(spec)), chain_generalizer(family)
         if name == "rectangle":
+            if bound is not None:
+                raise ConfigError("rectangle takes no universe bound: its grid fixes it")
+            family = RectangleFamily()
             ax, bx, ay, by = (int(v) for v in spec.split(","))
-            return family.language(ax, bx, ay, by)
+            return family, family.language(ax, bx, ay, by), rectangle_generalizer(family)
         if name == "diagonal":
+            family = DiagonalFamily() if bound is None else DiagonalFamily(at_least(0))
             if spec.startswith("diag:"):
-                return family.diag_language(int(spec[5:]))
-            if spec.startswith("fin:"):
-                return family.fin_language(tuple(map(tuple, json.loads(spec[4:]))))
-            raise ConfigError("diagonal target must be diag:<i> or fin:<json pairs>")
+                target = family.diag_language(int(spec[5:]))
+            elif spec.startswith("fin:"):
+                target = family.fin_language(tuple(map(tuple, json.loads(spec[4:]))))
+            else:
+                raise ValueError("diagonal target must be diag:<i> or fin:<json pairs>")
+            return family, target, diag_generalizer(family)
         if name == "gold":
+            family = GoldFamily() if bound is None else GoldFamily(at_least(0))
             if spec == "full":
-                return family.full_language()
-            if spec.startswith("minus:"):
-                return family.minus_language(int(spec[6:]))
-            raise ConfigError("gold target must be full or minus:<i>")
+                target = family.full_language()
+            elif spec.startswith("minus:"):
+                target = family.minus_language(int(spec[6:]))
+            else:
+                raise ValueError("gold target must be full or minus:<i>")
+            return family, target, gold_generalizer(family)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad target {spec!r} for family {name}: {exc}") from exc
     raise ConfigError(f"unknown family: {name}")
-
-
-def _build_generalizer(family_name: str, family, name: Optional[str]) -> Generalizer:
-    chosen = name or family_name
-    builders = {
-        "chain": chain_generalizer,
-        "rectangle": rectangle_generalizer,
-        "diagonal": diag_generalizer,
-        "gold": gold_generalizer,
-    }
-    if chosen not in builders:
-        raise ConfigError(f"unknown generalizer: {chosen}")
-    if chosen != family_name:
-        raise ConfigError(f"generalizer {chosen} does not fit family {family_name}")
-    return builders[chosen](family)
 
 
 def _out_dir(arg: Optional[str]) -> Path:
@@ -131,10 +122,12 @@ def _check_budget(budget: int) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
+    read: set[str] = set()
 
-    def pick(flag_value, key, cast=str, default=None):
-        if flag_value is not None:
-            return flag_value
+    def pick(key, cast=str, default=None):
+        read.add(key)
+        if getattr(args, key) is not None:
+            return getattr(args, key)
         if key in cfg:
             try:
                 return cast(cfg[key])
@@ -142,22 +135,23 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"config {key} = {cfg[key]!r} is not an integer") from None
         return default
 
-    family_name = pick(args.family, "family")
-    target_spec = pick(args.target, "target")
-    engine = pick(args.engine, "engine", default=CEGIS)
+    family_name, target_spec = pick("family"), pick("target")
+    engine = pick("engine", default=CEGIS)
+    bound, seed, budget = pick("universe_bound", int), pick("seed", int), pick("budget", int)
+    schedule = pick("schedule", default=CANONICAL)
+    kind = pick("strategy")
+    unread = sorted(set(cfg) - read)
+    if unread:
+        raise ConfigError(f"{args.config}: unknown key {unread[0]}; "
+                          f"the keys are {', '.join(sorted(read))}")
     if family_name is None or target_spec is None:
         raise ConfigError("run requires --family and --target")
     if engine not in (CEGIS, MINCEGIS, HCEGIS, POSITIVE_ONLY, SIMULATED_MINCEGIS):
         raise ConfigError(f"unknown engine: {engine}")
 
-    family = _build_family(family_name, pick(args.universe_bound, "universe_bound", int))
-    target = _build_target(family, family_name, target_spec)
-    generalizer = _build_generalizer(family_name, family, pick(args.generalizer, "generalizer"))
-    seed = pick(args.seed, "seed", int)
-    budget = _check_budget(pick(args.budget, "budget", int, harness.default_budget(target)))
-    schedule = pick(args.schedule, "schedule", default=CANONICAL)
+    family, target, generalizer = _setup(family_name, bound, target_spec)
+    budget = _check_budget(harness.default_budget(target) if budget is None else budget)
     window = min(harness.default_stability_window(target), budget)
-    kind = pick(args.strategy, "strategy")
     if kind is not None and engine not in (CEGIS, SIMULATED_MINCEGIS):
         raise ConfigError(f"engine {engine} takes no strategy: only cegis and "
                           f"simulated-mincegis ask the arbitrary-counterexample oracle")
@@ -265,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--family", help="chain|rectangle|diagonal|gold")
     run_p.add_argument("--target", help="target spec (family-dependent)")
     run_p.add_argument("--engine", help="cegis|mincegis|hcegis|positive-only|simulated-mincegis")
-    run_p.add_argument("--generalizer")
     run_p.add_argument("--strategy",
                        help="first-found|seeded-random|adversarial-max (cegis, simulated-mincegis)")
     run_p.add_argument("--seed", type=int)

@@ -184,16 +184,12 @@ class Trace:
     from the schedule's RNG stream, so reading entry i costs only the
     entries up to i, and every prefix equals the one made eagerly.
     ``len`` is the requested length and makes nothing.
-
-    ``target_hint`` is harness bookkeeping only and must never reach an
-    engine or a log.
     """
 
-    def __init__(self, entries: Iterable[TraceEntry] = (), target_hint: Optional[str] = None):
+    def __init__(self, entries: Iterable[TraceEntry] = ()):
         self._made: list[TraceEntry] = list(entries)
         self._length = len(self._made)
         self._blocks: Iterator[list[TraceEntry]] = iter(())
-        self.target_hint = target_hint
 
     def __getitem__(self, i: int) -> TraceEntry:
         if not 0 <= i < self._length:
@@ -250,7 +246,6 @@ def trace_generate(
     schedule: str,
     seed: int = 0,
     length: int = 0,
-    target_hint: Optional[str] = None,
 ) -> Trace:
     """Sample a trace prefix for a language.
 
@@ -267,13 +262,13 @@ def trace_generate(
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule: {schedule}")
     if length == 0:
-        return Trace(target_hint=target_hint)
+        return Trace()
     members = bits(language.mask)
     if schedule == CANONICAL and not members:
         raise EmptyLanguageError(
             f"canonical schedule needs a nonempty language: {language.descriptor}"
         )
-    trace = Trace(target_hint=target_hint)
+    trace = Trace()
     trace._length = max(length, 0)
     trace._blocks = _blocks(schedule, members, random.Random(seed))
     return trace

@@ -56,7 +56,6 @@ StepFn = Callable[[Program, TraceEntry, Optional[int], Optional[ProbeFn]], Progr
 
 @dataclass(frozen=True)
 class Generalizer:
-    name: str
     initial: Program
     step: StepFn
 
@@ -255,7 +254,7 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
             raise EngineFaultError(f"chain index {j + 1} beyond cap {family.max_index}")
         return make(j + 1, False)
 
-    return Generalizer("chain", make(0, False), step)
+    return Generalizer(make(0, False), step)
 
 
 class RectAux(NamedTuple):
@@ -334,7 +333,7 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
             return Program("rectangle", bounds, prev.language, RectAux(hull))
         return make(bounds, hull)
 
-    return Generalizer("rectangle", make((-g, g, -g, g), None), step)
+    return Generalizer(make((-g, g, -g, g), None), step)
 
 
 class DiagAux(NamedTuple):
@@ -397,7 +396,7 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
         explicit_language((), bound, "diag[init]"),
         DiagAux(),
     )
-    return Generalizer("diagonal", initial, step)
+    return Generalizer(initial, step)
 
 
 class GoldAux(NamedTuple):
@@ -417,7 +416,7 @@ def gold_generalizer(family: GoldFamily) -> Generalizer:
         return Program("gold", ("minus", cex), family.minus_language(cex), GoldAux(True))
 
     initial = Program("gold", ("full",), family.full_language(), GoldAux(False))
-    return Generalizer("gold", initial, step)
+    return Generalizer(initial, step)
 
 
 # ---------------------------------------------------------------------------

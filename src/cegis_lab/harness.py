@@ -11,7 +11,7 @@ observable signature of non-identifiability in every separation demo here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -19,6 +19,7 @@ from .core import (
     PADDED_SEEDED,
     Language,
     Trace,
+    pair_decode,
     pair_encode,
     semantically_equal,
     trace_generate,
@@ -88,25 +89,10 @@ class SeparationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "rows": [
-                {
-                    "family": r.family,
-                    "target": r.target,
-                    "variant": r.variant,
-                    "seed": r.seed,
-                    "status": r.status,
-                    "semantic_match": r.semantic_match,
-                    "queries": r.queries,
-                    "counterexamples": r.counterexamples,
-                    **r.extra,
-                }
-                for r in self.rows
-            ],
-            "conclusion": self.conclusion,
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        for row in doc["rows"]:
+            row.update(row.pop("extra"))
+        return doc
 
     def to_markdown(self) -> str:
         lines = [f"# {self.title}", ""]
@@ -120,6 +106,12 @@ class SeparationReport:
             )
         lines += ["", f"**Conclusion**: {self.conclusion}", f"**Passed**: {self.passed}", ""]
         return "\n".join(lines)
+
+
+def _row(family: str, target: Language, variant: str, run: EngineRun,
+         extra: Optional[dict] = None) -> ReportRow:
+    return ReportRow(family, target.descriptor, variant, None, run.status,
+                     run.semantic_match, run.queries, run.cex_count, extra or {})
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +134,8 @@ def theorem1_pair(
     trace: Trace,
     direct_budget: int,
     sim_budget: int,
-    stability_window: Optional[int] = None,
 ) -> tuple[EngineRun, EngineRun, bool]:
-    if stability_window is None:
-        stability_window = default_stability_window(target)
+    stability_window = default_stability_window(target)
     direct = run_engine(
         MINCEGIS, target, trace, generalizer,
         budget=direct_budget, stability_window=stability_window,
@@ -167,39 +157,25 @@ def demo_theorem1(
     n_random_rects: int = 10,
     rect_seed: int = 7,
 ) -> SeparationReport:
-    rows: list[ReportRow] = []
-    all_equal = True
-
-    chain = ChainFamily()
-    chain_gen = chain_generalizer(chain)
-    for i in chain_targets:
-        target = chain.language(i)
-        for seed in seeds:
-            trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=600)
-            direct, sim, equal = theorem1_pair(target, chain_gen, trace, 300, 600)
-            all_equal = all_equal and equal
-            rows.append(ReportRow(
-                "chain", target.descriptor, "mincegis-vs-sim", seed,
-                f"{direct.status}/{sim.status}", equal,
-                direct.queries + sim.queries, direct.cex_count + sim.cex_count,
-                {"equal_finals": equal},
-            ))
-
-    rect = RectangleFamily()
-    rect_gen = rectangle_generalizer(rect)
+    chain, rect = ChainFamily(), RectangleFamily()
     rects = [(-1, 1, -1, 1)] + _random_rectangles(random.Random(rect_seed), n_random_rects)
-    for bounds in rects:
-        target = rect.language(*bounds)
-        for seed in seeds:
-            trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=60_000)
-            direct, sim, equal = theorem1_pair(target, rect_gen, trace, 2000, 60_000)
-            all_equal = all_equal and equal
-            rows.append(ReportRow(
-                "rectangle", target.descriptor, "mincegis-vs-sim", seed,
-                f"{direct.status}/{sim.status}", equal,
-                direct.queries + sim.queries, direct.cex_count + sim.cex_count,
-                {"equal_finals": equal},
-            ))
+    cases = (  # family, learner, targets, direct budget, trace length = simulation budget
+        ("chain", chain_generalizer(chain), [chain.language(i) for i in chain_targets], 300, 600),
+        ("rectangle", rectangle_generalizer(rect), [rect.language(*b) for b in rects],
+         2000, 60_000),
+    )
+    rows: list[ReportRow] = []
+    for name, gen, targets, direct_budget, length in cases:
+        for target in targets:
+            for seed in seeds:
+                trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=length)
+                direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, length)
+                rows.append(ReportRow(
+                    name, target.descriptor, "mincegis-vs-sim", seed,
+                    f"{direct.status}/{sim.status}", equal,
+                    direct.queries + sim.queries, direct.cex_count + sim.cex_count,
+                    {"equal_finals": equal},
+                ))
 
     n = len(rows)
     agree = sum(1 for r in rows if r.extra["equal_finals"])
@@ -207,7 +183,7 @@ def demo_theorem1(
         f"direct minimal-counterexample runs and their arbitrary-counterexample "
         f"simulations agree on {agree}/{n} (family, target, seed) cases"
     )
-    return SeparationReport("theorem1-equivalence", rows, conclusion, all_equal)
+    return SeparationReport("theorem1-equivalence", rows, conclusion, agree == n)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +200,12 @@ def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
         trace = trace_generate(target, CANONICAL, length=budget)
 
         c_run = run_engine(CEGIS, target, trace, gen, budget=budget)
-        rows.append(ReportRow(
-            "chain", target.descriptor, CEGIS, None, c_run.status,
-            c_run.semantic_match, c_run.queries, c_run.cex_count,
-        ))
+        rows.append(_row("chain", target, CEGIS, c_run))
         ok = ok and c_run.status == CONVERGED and c_run.semantic_match
         ok = ok and c_run.queries == i + 2
 
         h_run = run_engine(HCEGIS, target, trace, gen, budget=budget)
-        rows.append(ReportRow(
-            "chain", target.descriptor, HCEGIS, None, h_run.status,
-            h_run.semantic_match, h_run.queries, h_run.cex_count,
-        ))
+        rows.append(_row("chain", target, HCEGIS, h_run))
         ok = ok and h_run.status == STALLED and h_run.cex_count == 0
 
     conclusion = (
@@ -276,11 +246,7 @@ def demo_lemma2(
     for target in targets:
         run = run_engine(HCEGIS, target, trace_generate(target, CANONICAL, length=budget),
                          gen, budget=budget)
-        rows.append(ReportRow(
-            "diagonal", target.descriptor, HCEGIS, None, run.status,
-            run.semantic_match, run.queries, run.cex_count,
-            {"probes": run.probes},
-        ))
+        rows.append(_row("diagonal", target, HCEGIS, run, {"probes": run.probes}))
         ok = ok and run.status == CONVERGED and run.semantic_match
 
     # Negative direction: crafted indistinguishable pairs for the
@@ -314,17 +280,14 @@ def indistinguishability_demo(
     z1: int,
     z2: int,
     budget: int = 40,
-    family: Optional[DiagonalFamily] = None,
 ) -> dict:
     """Run the same arbitrary-counterexample engine against two targets
     differing only at <0, z2>, with a verifier that answers consistently
     for both; identical logs force at least one wrong final conjecture."""
-    family = family or DiagonalFamily()
+    family = DiagonalFamily()
     probe_code = pair_encode(0, z2)
     if probe_code in base_prefix:
         raise ValueError("z2 must not occur in the base prefix")
-
-    from .core import pair_decode
 
     base_pairs = {pair_decode(c) for c in base_prefix}
     l_d = family.fin_language(base_pairs | {(1, z1)})
@@ -332,14 +295,13 @@ def indistinguishability_demo(
     assert l_dp.contains(probe_code) and not l_d.contains(probe_code)
 
     entries = tuple(base_prefix) + (pair_encode(1, z1),) * max(0, budget - len(base_prefix))
-    trace_d = Trace(entries, target_hint=l_d.descriptor)
-    trace_dp = Trace(entries, target_hint=l_dp.descriptor)
+    trace = Trace(entries)
     gen = diag_generalizer(family)
     strategy = CexStrategy(CONSISTENT_AVOIDING, avoid=frozenset({probe_code}))
 
     try:
-        run_d = run_engine(CEGIS, l_d, trace_d, gen, strategy, budget=budget)
-        run_dp = run_engine(CEGIS, l_dp, trace_dp, gen, strategy, budget=budget)
+        run_d = run_engine(CEGIS, l_d, trace, gen, strategy, budget=budget)
+        run_dp = run_engine(CEGIS, l_dp, trace, gen, strategy, budget=budget)
     except StrategyInfeasibleError as exc:
         return {
             "pair": f"{l_d.descriptor} / {l_dp.descriptor}",
@@ -372,26 +334,17 @@ def demo_gold(budget: int = 60, sample: Sequence[int] = (0, 5, 17, 33, 50)) -> S
 
     targets = [family.full_language()] + [family.minus_language(i) for i in sample]
     for target in targets:
-        run = run_engine(CEGIS, target, trace_generate(target, CANONICAL, length=budget),
-                         gen, budget=budget)
+        trace = trace_generate(target, CANONICAL, length=budget)
+        run = run_engine(CEGIS, target, trace, gen, budget=budget)
         conjectures = len({r.candidate for r in run.iterations})
-        rows.append(ReportRow(
-            "gold", target.descriptor, CEGIS, None, run.status,
-            run.semantic_match, run.queries, run.cex_count,
-            {"conjectures": conjectures},
-        ))
+        rows.append(_row("gold", target, CEGIS, run, {"conjectures": conjectures}))
         ok = ok and run.status == CONVERGED and run.semantic_match
         ok = ok and conjectures <= 2
 
         # Positive-only ablation: cutting the counterexample channel makes
         # the one-point deletions indistinguishable from the full set.
-        ab = run_engine(POSITIVE_ONLY, target, trace_generate(target, CANONICAL, length=budget),
-                        gen, budget=budget)
-        rows.append(ReportRow(
-            "gold", target.descriptor, POSITIVE_ONLY, None, ab.status,
-            ab.semantic_match, ab.queries, ab.cex_count,
-            {"final": ab.final.descriptor()},
-        ))
+        ab = run_engine(POSITIVE_ONLY, target, trace, gen, budget=budget)
+        rows.append(_row("gold", target, POSITIVE_ONLY, ab, {"final": ab.final.descriptor()}))
         expected = CONVERGED if target.descriptor == "gold[full]" else STALLED
         ok = ok and ab.status == expected
         ok = ok and ab.final.descriptor() == "gold[full]"
@@ -423,15 +376,11 @@ def demo_rectangle(budget: int = 600) -> SeparationReport:
         and first == (-2, 0)
         and first_key == 4
     )
-    rows = [ReportRow(
-        "rectangle", target.descriptor, MINCEGIS, None, run.status,
-        run.semantic_match, run.queries, run.cex_count,
-        {
-            "first_cex": list(first) if first else None,
-            "first_cex_radial_key": first_key,
-            "cex_points": [list(family.decode(c)) for c in cexs],
-        },
-    )]
+    rows = [_row("rectangle", target, MINCEGIS, run, {
+        "first_cex": list(first) if first else None,
+        "first_cex_radial_key": first_key,
+        "cex_points": [list(family.decode(c)) for c in cexs],
+    })]
     conclusion = (
         f"first minimal counterexample {first} has radial key {first_key}; "
         f"final conjecture {run.final.descriptor()}"

@@ -138,6 +138,13 @@ def test_golden_demo_theorem1_report(tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+@pytest.mark.parametrize("demo", ["lemma1", "lemma2", "rectangle", "gold"])
+def test_golden_demo_report(tmp_path, demo):
+    assert run_cli("demo", demo, "--out", str(tmp_path)) == 0
+    name = f"demo-{demo}.json"
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_demo_subcommand_writes_reports(tmp_path):
     assert run_cli("demo", "lemma1", "--imax", "5", "--out", str(tmp_path)) == 0
     md = (tmp_path / "demo-lemma1.md").read_text()
@@ -205,18 +212,54 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     CHAIN7 + ("mincegis", "--seed", "9"),
     CHAIN7 + ("cegis", "--strategy", "adversarial-max", "--seed", "3"),
     ("run", "--config", "{tmp}/unused-seed.cfg"),
+    # Config keys that nothing reads.
+    ("run", "--config", "{tmp}/typo.cfg"),
+    ("run", "--config", "{tmp}/out.cfg"),
+    ("run", "--config", "{tmp}/generalizer.cfg"),
+    # Universe bounds below the family's least bound.
+    ("run", "--family", "diagonal", "--universe-bound", "-5", "--target", "diag:0"),
+    ("run", "--family", "gold", "--universe-bound", "-3", "--target", "full"),
+    ("run", "--family", "chain", "--universe-bound", "1", "--target", "0"),
+    ("run", "--config", "{tmp}/low-bound.cfg"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
     (tmp_path / "mincegis-strategy.cfg").write_text(
         "family = chain\ntarget = 7\nengine = mincegis\nstrategy = first-found\n")
     (tmp_path / "unused-seed.cfg").write_text("family = chain\ntarget = 5\nseed = 9\n")
+    (tmp_path / "typo.cfg").write_text("family = chain\ntarget = 5\nbudgett = 3\n")
+    (tmp_path / "out.cfg").write_text(f"family = chain\ntarget = 5\nout = {tmp_path}/cfg-out\n")
+    (tmp_path / "generalizer.cfg").write_text("family = chain\ntarget = 5\ngeneralizer = chain\n")
+    (tmp_path / "low-bound.cfg").write_text("family = chain\ntarget = 0\nuniverse_bound = -1\n")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = chain\ntarget = 5\nbudgett = 3\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 1
+    assert "unknown key budgett" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,bound,target,least", [
+    ("chain", "1", "0", 2),
+    ("gold", "-3", "full", 0),
+    ("diagonal", "-5", "diag:0", 0),
+])
+def test_universe_bound_below_the_least_names_it(tmp_path, capsys, family, bound, target, least):
+    assert run_cli("run", "--family", family, "--universe-bound", bound, "--target", target,
+                   "--out", str(tmp_path)) == 1
+    assert f"at least {least} for family {family}" in capsys.readouterr().err
+
+
+def test_generalizer_flag_is_gone(tmp_path, capsys):
+    assert run_cli(*CHAIN5, "--generalizer", "chain", "--out", str(tmp_path)) == 1
+    assert "--generalizer" in capsys.readouterr().err
 
 
 def test_unparsable_flag_exits_1_not_the_stalled_code(tmp_path, capsys):
