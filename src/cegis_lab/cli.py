@@ -2,8 +2,8 @@
 
 Exit codes for ``run``: 0 converged with semantic match, 2 stalled (or
 converged on the wrong language), 3 budget exhausted, 1 configuration
-error or an engine error (the generalizer left its family, an oracle
-answer contradicted the engine, or the probe budget ran out).  ``demo``
+error or an engine error (the simulation stopped making progress, an
+oracle answer contradicted the engine, or the probe budget ran out).  ``demo``
 exits 0 iff the demo's expected conclusion holds.
 """
 from __future__ import annotations
@@ -20,11 +20,9 @@ from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, trace_generate
 from .engines import (
     CEGIS,
     CONVERGED,
-    HCEGIS,
-    MINCEGIS,
-    POSITIVE_ONLY,
     SIMULATED_MINCEGIS,
     STALLED,
+    VARIANTS,
     EngineFaultError,
     InconsistentOracleError,
     ProbeOverflowError,
@@ -146,7 +144,7 @@ def cmd_run(args) -> int:
                           f"the keys are {', '.join(sorted(read))}")
     if family_name is None or target_spec is None:
         raise ConfigError("run requires --family and --target")
-    if engine not in (CEGIS, MINCEGIS, HCEGIS, POSITIVE_ONLY, SIMULATED_MINCEGIS):
+    if engine not in VARIANTS + (SIMULATED_MINCEGIS,):
         raise ConfigError(f"unknown engine: {engine}")
 
     family, target, generalizer = _setup(family_name, bound, target_spec)
@@ -206,6 +204,11 @@ def cmd_demo(args) -> int:
         if args.name == "theorem1":
             raise ConfigError("demo theorem1 takes no --budget")
         kwargs["budget"] = _check_budget(args.budget)
+    if args.name == "lemma1":
+        i_max, budget = kwargs.get("i_max", 20), kwargs.get("budget", 100)
+        if budget < i_max + 2:
+            raise ConfigError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
+                              f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
     report = harness.DEMOS[args.name](**kwargs)
 
     out = _out_dir(args.out)

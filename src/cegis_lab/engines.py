@@ -39,7 +39,7 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 class EngineFaultError(RuntimeError):
-    """The generalizer left the family's representable set."""
+    """The simulation's progress guard fired: it stopped replaying the trace."""
 
 
 class InconsistentOracleError(RuntimeError):
@@ -232,15 +232,19 @@ def run_engine(
 # Per-family generalizers
 
 
-class ChainAux(NamedTuple):
+class FrozenAux(NamedTuple):
     frozen: bool = False
 
 
 def chain_generalizer(family: ChainFamily) -> Generalizer:
-    """Enumerate up the chain while unrefuted; freeze one below on refutation."""
+    """Enumerate up the chain while unrefuted; freeze one below on refutation.
+    The climb has no cap, as the paper's chain is infinite: past the universe
+    bound B a conjecture is restricted to [0, B]."""
+    bound = family.universe_bound
 
     def make(i: int, frozen: bool) -> Program:
-        return Program("chain", i, family.language(i), ChainAux(frozen))
+        lang = Language((1 << min(i, bound) + 1) - 1, bound, f"chain[{i}]")
+        return Program("chain", i, lang, FrozenAux(frozen))
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
         if prev.aux.frozen:
@@ -250,8 +254,6 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
             if j == 0:
                 raise InconsistentOracleError("counterexample against chain[0]")
             return make(j - 1, True)
-        if j + 1 > family.max_index:
-            raise EngineFaultError(f"chain index {j + 1} beyond cap {family.max_index}")
         return make(j + 1, False)
 
     return Generalizer(make(0, False), step)
@@ -337,7 +339,6 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
 
 
 class DiagAux(NamedTuple):
-    mode: str = "A"  # A: only <0, .> seen; B: some <1, .> seen
     min_j: Optional[int] = None
     x_max: Optional[int] = None
     recovered: frozenset = frozenset()
@@ -346,12 +347,12 @@ class DiagAux(NamedTuple):
 def diag_generalizer(family: DiagonalFamily) -> Generalizer:
     """The two-mode learner for the diagonal family (history-bounded runs).
 
-    Mode A conjectures diag(j) for the minimum j with <0, j> observed.
-    Mode B tracks the largest observed code x_max and reconstructs every
-    smaller member through singleton probes: the probe {x'} draws no
-    counterexample exactly when x' is in the target (x' < x_max keeps the
-    probe inside the history bound).  Without a probe oracle the learner
-    keeps only x_max, which is precisely what it cannot recover from.
+    Mode A (no <1, .> code seen yet) conjectures diag(j) for the minimum j
+    with <0, j> observed.  Mode B tracks the largest observed code x_max and
+    reconstructs every smaller member through singleton probes: the probe
+    {x'} draws no counterexample exactly when x' is in the target (x' < x_max
+    keeps the probe inside the history bound).  Without a probe oracle the
+    learner keeps only x_max, which is precisely what it cannot recover from.
     """
     bound = family.universe_bound
 
@@ -376,19 +377,13 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
         if entry is BOT:
             return prev
         j, n = pair_decode(entry)
-        if aux.mode == "A":
-            if j == 0:
-                if aux.min_j is not None and n >= aux.min_j:
-                    return prev
-                new = DiagAux("A", n, None, frozenset())
-                return Program("diagonal", ("diag", n), family.diag_language(n), new)
-            new = DiagAux("B", None, entry, reconstruct(entry, probe))
-            return recset_program(new)
-        # mode B
+        if aux.x_max is None and j == 0:  # mode A
+            if aux.min_j is not None and n >= aux.min_j:
+                return prev
+            return Program("diagonal", ("diag", n), family.diag_language(n), DiagAux(n))
         if aux.x_max is not None and entry <= aux.x_max:
             return prev
-        new = DiagAux("B", None, entry, reconstruct(entry, probe))
-        return recset_program(new)
+        return recset_program(DiagAux(None, entry, reconstruct(entry, probe)))
 
     initial = Program(
         "diagonal",
@@ -397,10 +392,6 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
         DiagAux(),
     )
     return Generalizer(initial, step)
-
-
-class GoldAux(NamedTuple):
-    frozen: bool = False
 
 
 def gold_generalizer(family: GoldFamily) -> Generalizer:
@@ -413,9 +404,9 @@ def gold_generalizer(family: GoldFamily) -> Generalizer:
             raise InconsistentOracleError(
                 f"counterexample {cex} after the conjecture was pinned"
             )
-        return Program("gold", ("minus", cex), family.minus_language(cex), GoldAux(True))
+        return Program("gold", ("minus", cex), family.minus_language(cex), FrozenAux(True))
 
-    initial = Program("gold", ("full",), family.full_language(), GoldAux(False))
+    initial = Program("gold", ("full",), family.full_language(), FrozenAux(False))
     return Generalizer(initial, step)
 
 
@@ -502,23 +493,9 @@ def simulate_min_via_arbitrary(
     since_progress = 0
     converged = False
 
-    def replay_from(m: int, cex: Optional[int], start: Program, avail: list[TraceEntry]):
-        """Replay the backlog from ``start`` as far as the cache allows and
-        log the result: always after a counterexample, else only on a change."""
-        nonlocal backlog, tau_done, since_progress
-        prog, consumed = _replay_longest(lce, start, avail, step)
-        backlog = avail[consumed:]
-        tau_done += consumed
-        if consumed:
-            since_progress = 0
-        changed = prog.semantic_key() != start.semantic_key()
-        tally.settle(m, changed, cex)
-        if cex is not None or changed:
-            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-        return prog
-
     for m in range(1, limit + 1):
         entry = trace[m - 1]
+        backlog.append(entry)
         since_progress += 1
         # Progress invariant: between extensions of the consumed prefix the
         # simulation can spend at most one full probe sweep plus overhead.
@@ -530,32 +507,41 @@ def simulate_min_via_arbitrary(
             tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
             if cex is None:  # Case 1.2
                 lce.set(p_last, None)
-                p_last = replay_from(m, None, p_last, backlog + [entry])
-                if _is_frozen(p_last) or tally.stable(p_last):
-                    converged = True
-                    break
-            elif lce.get(p_last) is not _TOP:  # Case 1.1.1
-                p_last = replay_from(m, cex, p_last, backlog + [entry])
-            else:  # Case 1.1.2
-                backlog.append(entry)
-                mu = 0
+            elif lce.get(p_last) is _TOP:  # Case 1.1.2: sweep for the minimum
                 probe = p_last.language.intersect_singleton(order[0])
+                continue
+            # else Case 1.1.1: the minimal counterexample is cached
         else:
             cex = check(probe, target, strategy).counterexample
             tally.query(m, entry, probe.descriptor, cex, "probe")
-            if cex is not None:  # Case 2.1: the probe's sole element
-                lce.set(p_last, cex)
-                mu = 0
-                probe = None
-                p_last = replay_from(m, cex, p_last, backlog + [entry])
-            else:  # Case 2.2
+            if cex is None:  # Case 2.2
                 mu += 1
                 if mu >= len(order):
                     raise InconsistentOracleError(
                         "probe sweep exhausted the universe without a counterexample"
                     )
-                backlog.append(entry)
                 probe = p_last.language.intersect_singleton(order[mu])
+                continue
+            # Case 2.1: the probe's sole element is the minimal counterexample
+            lce.set(p_last, cex)
+            mu = 0  # also where the next sweep starts
+            probe = None
+
+        # Replay the backlog as far as the cache allows and log the result:
+        # always after a counterexample, else only on a change.
+        prog, consumed = _replay_longest(lce, p_last, backlog, step)
+        del backlog[:consumed]
+        tau_done += consumed
+        if consumed:
+            since_progress = 0
+        changed = prog.semantic_key() != p_last.semantic_key()
+        tally.settle(m, changed, cex)
+        if cex is not None or changed:
+            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
+        p_last = prog
+        if cex is None and (_is_frozen(p_last) or tally.stable(p_last)):  # Case 1.2 only
+            converged = True
+            break
 
     # A run cut mid-sweep reports the pending probe as its simulated program.
     p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)

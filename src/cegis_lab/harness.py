@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     CANONICAL,
@@ -118,15 +118,16 @@ def _row(family: str, target: Language, variant: str, run: EngineRun,
 # theorem1 demo: direct MinCEGIS vs its simulation by the arbitrary verifier
 
 
-def _random_rectangles(rng: random.Random, count: int, extent: int = 8):
+def _random_rectangles(rng: random.Random, count: int):
     rects = []
     for _ in range(count):
-        ax = rng.randint(-extent, extent)
-        bx = rng.randint(ax, extent)
-        ay = rng.randint(-extent, extent)
-        by = rng.randint(ay, extent)
+        ax = rng.randint(-8, 8)
+        bx = rng.randint(ax, 8)
+        ay = rng.randint(-8, 8)
+        by = rng.randint(ay, 8)
         rects.append((ax, bx, ay, by))
     return rects
+
 
 def theorem1_pair(
     target: Language,
@@ -151,23 +152,18 @@ def theorem1_pair(
     return direct, sim, equal
 
 
-def demo_theorem1(
-    seeds: Sequence[int] = (11, 23, 37),
-    chain_targets: Iterable[int] = range(21),
-    n_random_rects: int = 10,
-    rect_seed: int = 7,
-) -> SeparationReport:
+def demo_theorem1() -> SeparationReport:
     chain, rect = ChainFamily(), RectangleFamily()
-    rects = [(-1, 1, -1, 1)] + _random_rectangles(random.Random(rect_seed), n_random_rects)
+    rects = [(-1, 1, -1, 1)] + _random_rectangles(random.Random(7), 10)
     cases = (  # family, learner, targets, direct budget, trace length = simulation budget
-        ("chain", chain_generalizer(chain), [chain.language(i) for i in chain_targets], 300, 600),
+        ("chain", chain_generalizer(chain), [chain.language(i) for i in range(21)], 300, 600),
         ("rectangle", rectangle_generalizer(rect), [rect.language(*b) for b in rects],
          2000, 60_000),
     )
     rows: list[ReportRow] = []
     for name, gen, targets, direct_budget, length in cases:
         for target in targets:
-            for seed in seeds:
+            for seed in (11, 23, 37):
                 trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=length)
                 direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, length)
                 rows.append(ReportRow(
@@ -230,19 +226,14 @@ def _crafted_fin_instances(rng: random.Random, count: int, family: DiagonalFamil
     return instances
 
 
-def demo_lemma2(
-    n_fin: int = 10,
-    diag_targets: Iterable[int] = range(1, 11),
-    budget: int = 120,
-    fin_seed: int = 5,
-) -> SeparationReport:
+def demo_lemma2(budget: int = 120) -> SeparationReport:
     family = DiagonalFamily()
     gen = diag_generalizer(family)
     rows: list[ReportRow] = []
     ok = True
 
-    targets = _crafted_fin_instances(random.Random(fin_seed), n_fin, family)
-    targets += [family.diag_language(i) for i in diag_targets]
+    targets = _crafted_fin_instances(random.Random(5), 10, family)
+    targets += [family.diag_language(i) for i in range(1, 11)]
     for target in targets:
         run = run_engine(HCEGIS, target, trace_generate(target, CANONICAL, length=budget),
                          gen, budget=budget)
@@ -326,13 +317,13 @@ def indistinguishability_demo(
 # Gold family: one counterexample suffices; none can never distinguish
 
 
-def demo_gold(budget: int = 60, sample: Sequence[int] = (0, 5, 17, 33, 50)) -> SeparationReport:
+def demo_gold(budget: int = 60) -> SeparationReport:
     family = GoldFamily()
     gen = gold_generalizer(family)
     rows: list[ReportRow] = []
     ok = True
 
-    targets = [family.full_language()] + [family.minus_language(i) for i in sample]
+    targets = [family.full_language()] + [family.minus_language(i) for i in (0, 5, 17, 33, 50)]
     for target in targets:
         trace = trace_generate(target, CANONICAL, length=budget)
         run = run_engine(CEGIS, target, trace, gen, budget=budget)

@@ -204,9 +204,9 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("demo", "lemma2", "--imax", "3"),
     ("demo", "gold", "--imax", "3"),
     ("demo", "nosuch"),
-    # Engine errors: the chain learner climbs past its cap.
-    CHAIN5[:-1] + ("hcegis",),
-    ("run", "--family", "chain", "--universe-bound", "2", "--target", "0"),
+    # A lemma1 budget below i_max + 2, Lemma 1's query count.
+    ("demo", "lemma1", "--imax", "99"),
+    ("demo", "lemma1", "--budget", "21"),
     # A seed that neither the schedule nor the strategy reads.
     CHAIN5 + ("--seed", "9"),
     CHAIN7 + ("mincegis", "--seed", "9"),
@@ -237,6 +237,21 @@ def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv,code,queries", [
+    # Lemma 1 at the top target: i + 2 queries, the last one on chain[121].
+    (("run", "--family", "chain", "--target", "120", "--engine", "cegis"), 0, 122),
+    # Unrefuted, the learner climbs the whole default budget and stalls.
+    (CHAIN5[:-1] + ("hcegis",), 2, 1220),
+    (CHAIN5[:-1] + ("positive-only",), 2, 1220),
+    (("run", "--family", "chain", "--universe-bound", "2", "--target", "0"), 0, 2),
+    (("demo", "lemma1", "--imax", "118", "--budget", "200"), 0, None),
+])
+def test_the_chain_learner_has_no_cap(tmp_path, capsys, argv, code, queries):
+    assert run_cli(*argv, "--out", str(tmp_path)) == code
+    if queries is not None:
+        assert f" queries={queries} " in capsys.readouterr().out
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

@@ -347,6 +347,21 @@ def test_simulation_cut_mid_sweep_reports_the_pending_probe():
     assert sim.iterations[-1].candidate == f"{p_last.descriptor()}&{{{target.ordering.order[5]}}}"
 
 
+def test_simulation_cut_after_a_probe_counterexample_reports_the_replayed_program():
+    # Budget 11 ends on Case 2.1: the last probe draws counterexample 6, the
+    # sweep ends and the backlog is replayed, so no probe is pending.
+    fam = RectangleFamily(grid_bound=4)
+    target = fam.language(-1, 1, -1, 1)
+    trace = trace_generate(target, "canonical", length=60)
+    sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=11)
+    state = sim.sim_state
+    assert sim.status == BUDGET_EXHAUSTED and state.mu == 0
+    assert state.p_sim is state.p_last
+    assert state.p_last.descriptor() == "rect[-1,4,-4,4]"
+    assert [r.event for r in sim.iterations[-2:]] == ["probe", "replay"]
+    assert sim.iterations[-2].cex == 6
+
+
 THEOREM1_CHAIN = ChainFamily(max_index=12)
 THEOREM1_RECT = RectangleFamily(grid_bound=6)
 THEOREM1_DIAG = DiagonalFamily(universe_bound=60)
@@ -501,12 +516,14 @@ def test_probe_order_is_the_family_ordering():
 # Error paths
 
 
-def test_chain_learner_past_its_cap_is_an_engine_fault():
+def test_chain_learner_identifies_its_top_target():
+    # Lemma 1 at max_index: the learner climbs to chain[4], one past the
+    # top target, draws its counterexample there and freezes, in i + 2 queries.
     fam = ChainFamily(max_index=3)
     target = fam.language(3)
     trace = trace_generate(target, "canonical", length=10)
-    with pytest.raises(EngineFaultError, match="beyond cap 3"):
-        run_engine(CEGIS, target, trace, chain_generalizer(fam), budget=10)
+    run = run_engine(CEGIS, target, trace, chain_generalizer(fam), budget=10)
+    assert run.status == CONVERGED and run.semantic_match and run.queries == 5
 
 
 def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
