@@ -115,6 +115,8 @@ def _out_dir(arg: Optional[str]) -> Path:
 def _check_budget(budget: int) -> int:
     if budget < 1:
         raise ConfigError(f"budget must be a positive integer, got {budget}")
+    if budget > sys.maxsize:  # a trace's length must fit len()
+        raise ConfigError(f"budget must be at most {sys.maxsize}, got {budget}")
     return budget
 
 

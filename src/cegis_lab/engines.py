@@ -68,6 +68,13 @@ class IterationRecord(NamedTuple):
     event: str  # conjecture | probe | replay | freeze
 
 
+# The records and probes made once per micro-step are built with
+# tuple.__new__(Cls, fields): the __new__ that NamedTuple generates is a
+# Python-level function, a frame of its own that costs about three times as
+# much, and these two are built once per trace entry the simulation reads.
+_new_tuple = tuple.__new__
+
+
 @dataclass
 class SimState:
     lce: "LceMap"
@@ -112,7 +119,7 @@ class _Tally:
         self.last_change = 0
 
     def query(self, i: int, entry: TraceEntry, candidate: str, cex: Optional[int], event: str):
-        self.records.append(IterationRecord(i, entry, candidate, cex, event))
+        self.records.append(_new_tuple(IterationRecord, (i, entry, candidate, cex, event)))
         self.queries += 1
         if cex is not None:
             self.cex_count += 1
@@ -507,25 +514,31 @@ def simulate_min_via_arbitrary(
             tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
             if cex is None:  # Case 1.2
                 lce.set(p_last, None)
-            elif lce.get(p_last) is _TOP:  # Case 1.1.2: sweep for the minimum
-                probe = p_last.language.intersect_singleton(order[0])
-                continue
-            # else Case 1.1.1: the minimal counterexample is cached
+            # Case 1.1.2 sweeps for the minimum; in Case 1.1.1 it is cached.
+            sweep = cex is not None and lce.get(p_last) is _TOP
         else:
             cex = check(probe, target, strategy).counterexample
             tally.query(m, entry, probe.descriptor, cex, "probe")
-            if cex is None:  # Case 2.2
+            sweep = cex is None
+            if sweep:  # Case 2.2
                 mu += 1
                 if mu >= len(order):
                     raise InconsistentOracleError(
                         "probe sweep exhausted the universe without a counterexample"
                     )
-                probe = p_last.language.intersect_singleton(order[mu])
-                continue
-            # Case 2.1: the probe's sole element is the minimal counterexample
-            lce.set(p_last, cex)
-            mu = 0  # also where the next sweep starts
-            probe = None
+            else:  # Case 2.1: the probe's sole element is the minimal counterexample
+                lce.set(p_last, cex)
+                mu = 0  # also where the next sweep starts
+                probe = None
+        if sweep:
+            # p_last.language.intersect_singleton(order[mu]), built in place
+            k = order[mu]
+            lang = p_last.language
+            probe = _new_tuple(Language, (
+                lang.mask & 1 << k, lang.universe_bound,
+                f"{lang.descriptor}&{{{k}}}", lang.ordering,
+            ))
+            continue
 
         # Replay the backlog as far as the cache allows and log the result:
         # always after a counterexample, else only on a change.

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     Language,
@@ -60,6 +60,11 @@ class RectangleFamily:
     Elements are point_encode(x, y) for grid points; the element ordering
     is radial (x^2 + y^2) with lexicographic (x, y) tie-break.  The family
     includes one distinguished universal member covering the whole grid.
+
+    Each grid point's code is computed once, when the family is built, into
+    a point table {code: (x, y)}.  ``decode`` reads that table, so it raises
+    KeyError for a code that is not a grid point; ``point_decode`` decodes
+    any code.
     """
 
     grid_bound: int = 32
@@ -68,22 +73,29 @@ class RectangleFamily:
     _columns: tuple = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
     _ordering: Ordering = field(init=False, repr=False, compare=False)
+    decode: Callable[[int], tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid_bound
         span = range(-g, g + 1)
-        columns = [sum(1 << point_encode(x, y) for y in span) for x in span]
-        rows = [sum(1 << point_encode(x, y) for x in span) for y in span]
+        points: dict[int, tuple[int, int]] = {}
+        columns = [0] * len(span)
+        rows = [0] * len(span)
+        for i, x in enumerate(span):
+            for j, y in enumerate(span):
+                code = point_encode(x, y)
+                points[code] = (x, y)
+                columns[i] |= 1 << code
+                rows[j] |= 1 << code
         object.__setattr__(self, "_columns", tuple(accumulate(columns, or_, initial=0)))
         object.__setattr__(self, "_rows", tuple(accumulate(rows, or_, initial=0)))
         object.__setattr__(self, "_ordering", Ordering(self.ordering_key, self.universe_bound))
+        object.__setattr__(self, "decode", points.__getitem__)
 
     @property
     def universe_bound(self) -> int:
         g = self.grid_bound
         return pair_encode(zigzag_encode(g), zigzag_encode(g))
-
-    decode = staticmethod(point_decode)
 
     @staticmethod
     def ordering_key(code: int) -> tuple:
@@ -147,7 +159,11 @@ class DiagonalFamily:
         return Language(mask, self.universe_bound, f"diag[{i}]")
 
     def fin_language(self, members: Iterable[tuple[int, int]]) -> Language:
-        pairs = sorted(set(tuple(m) for m in members))
+        members = [tuple(m) for m in members]
+        # bool is an int subclass: True would pass as 1 and label as (True,2)
+        if any(not isinstance(c, int) or isinstance(c, bool) for m in members for c in m):
+            raise InvalidFamilyMemberError("fin member coordinates must be integers")
+        pairs = sorted(set(members))
         if not pairs:
             raise InvalidFamilyMemberError("fin language must be nonempty")
         if any(j not in (0, 1) for j, _ in pairs):

@@ -221,6 +221,14 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("run", "--family", "gold", "--universe-bound", "-3", "--target", "full"),
     ("run", "--family", "chain", "--universe-bound", "1", "--target", "0"),
     ("run", "--config", "{tmp}/low-bound.cfg"),
+    # Budgets too large for a trace's length, given or the default 10 * B.
+    CHAIN5 + ("--budget", "99999999999999999999"),
+    ("demo", "lemma1", "--budget", "99999999999999999999"),
+    ("run", "--family", "chain", "--universe-bound", "99999999999999999999", "--target", "5"),
+    # fin: coordinates that are JSON values other than integers.
+    ("run", "--family", "diagonal", "--target", "fin:[[true,2]]"),
+    ("run", "--family", "diagonal", "--target", "fin:[[false,2],[1,3]]"),
+    ("run", "--family", "diagonal", "--target", "fin:[[1,2.0]]"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")

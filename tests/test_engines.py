@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cegis_lab import engines
 from cegis_lab.core import (
     BOT,
     Program,
@@ -380,8 +381,7 @@ _DIAG_PAIRS = [(j, n) for j in (0, 1) for n in range(12) if pair_encode(j, n) <=
 def theorem1_targets(draw):
     kind = draw(st.sampled_from(["chain", "rectangle", "diag", "fin", "gold"]))
     if kind == "chain":
-        # Below the cap, so the learner can step past the target and freeze.
-        return "chain", THEOREM1_CHAIN.language(draw(st.integers(0, 11)))
+        return "chain", THEOREM1_CHAIN.language(draw(st.integers(0, 12)))
     if kind == "rectangle":
         ax, bx = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
         ay, by = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
@@ -535,6 +535,19 @@ def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
     trace = trace_generate(target, "canonical", length=100)
     with pytest.raises(EngineFaultError, match="progress"):
         simulate_min_via_arbitrary(target, trace, gold_generalizer(fam), budget=100)
+
+
+def test_the_simulation_asks_the_module_level_check(monkeypatch):
+    # A tracer that wraps engines.check must see every query of the run.
+    calls = []
+    real = engines.check
+    monkeypatch.setattr(engines, "check", lambda *args: calls.append(1) or real(*args))
+    fam = RectangleFamily(grid_bound=2)
+    target = fam.language(-1, 1, -1, 0)
+    trace = trace_generate(target, "canonical", length=200)
+    run = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=200)
+    assert any(r.event == "probe" for r in run.iterations)
+    assert len(calls) == run.queries
 
 
 def test_probe_cap_overflow_on_diagonal_hcegis():

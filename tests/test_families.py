@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cegis_lab.core import pair_encode, point_encode, zigzag_encode
+from cegis_lab.core import pair_encode, point_decode, point_encode, zigzag_encode
 from cegis_lab.families import (
     ChainFamily,
     DiagonalFamily,
@@ -120,6 +120,22 @@ def test_every_rectangle_mask_is_its_point_in_box_set(g):
         for ay, by in sides:
             box = {point_encode(x, y) for x in range(ax, bx + 1) for y in range(ay, by + 1)}
             assert fam.language(ax, bx, ay, by).members() == box
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4, 5, 6, 32])
+def test_decode_reads_the_point_table(g):
+    fam = RectangleFamily(grid_bound=g)
+    grid = [(x, y) for x in range(-g, g + 1) for y in range(-g, g + 1)]
+    for x, y in grid:
+        code = point_encode(x, y)
+        assert fam.decode(code) == (x, y) == point_decode(code)
+    table = fam.decode.__self__
+    assert len(table) == (2 * g + 1) ** 2
+    assert set(table) == {point_encode(x, y) for x, y in grid}
+    # the least code that is not a grid point; below the bound from g = 1 on
+    outside = min(set(range(fam.universe_bound + 2)) - set(table))
+    with pytest.raises(KeyError):
+        fam.decode(outside)
 
 
 def test_rectangle_universal_is_full_grid():
