@@ -42,6 +42,11 @@ class ConfigError(Exception):
     pass
 
 
+# Gold and diagonal languages are (B+1)-bit masks, so their bound has a
+# ceiling; a chain mask is min(i, B)+1 bits, and a rectangle's grid fixes B.
+MASK_CEILING = 1 << 20
+
+
 def _load_config(path: str) -> dict:
     """Flat key = value file, TOML-compatible for the keys we accept."""
     try:
@@ -63,18 +68,21 @@ def _load_config(path: str) -> dict:
 def _setup(name: str, bound: Optional[int], spec: str):
     """The family ``name`` at universe bound ``bound`` (None: its default),
     the target ``spec`` names in it, and the family's generalizer.  The one
-    switch on the family name: each branch holds its family's least bound,
+    switch on the family name: each branch holds its family's bound range,
     target syntax and learner."""
 
-    def at_least(least: int) -> int:
+    def within(least: int, most: Optional[int] = None) -> int:
         if bound < least:
             raise ConfigError(f"universe bound must be at least {least} for family {name}, "
+                              f"got {bound}")
+        if most is not None and bound > most:
+            raise ConfigError(f"universe bound must be at most {most} for family {name}, "
                               f"got {bound}")
         return bound
 
     try:
         if name == "chain":
-            family = ChainFamily() if bound is None else ChainFamily(at_least(2) - 2)
+            family = ChainFamily() if bound is None else ChainFamily(within(2) - 2)
             return family, family.language(int(spec)), chain_generalizer(family)
         if name == "rectangle":
             if bound is not None:
@@ -83,7 +91,7 @@ def _setup(name: str, bound: Optional[int], spec: str):
             ax, bx, ay, by = (int(v) for v in spec.split(","))
             return family, family.language(ax, bx, ay, by), rectangle_generalizer(family)
         if name == "diagonal":
-            family = DiagonalFamily() if bound is None else DiagonalFamily(at_least(0))
+            family = DiagonalFamily() if bound is None else DiagonalFamily(within(0, MASK_CEILING))
             if spec.startswith("diag:"):
                 target = family.diag_language(int(spec[5:]))
             elif spec.startswith("fin:"):
@@ -92,7 +100,7 @@ def _setup(name: str, bound: Optional[int], spec: str):
                 raise ValueError("diagonal target must be diag:<i> or fin:<json pairs>")
             return family, target, diag_generalizer(family)
         if name == "gold":
-            family = GoldFamily() if bound is None else GoldFamily(at_least(0))
+            family = GoldFamily() if bound is None else GoldFamily(within(0, MASK_CEILING))
             if spec == "full":
                 target = family.full_language()
             elif spec.startswith("minus:"):

@@ -23,7 +23,7 @@ from .core import (
     semantically_equal,
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from .verifiers import NO_CEX, CexStrategy, Verdict, check, hcheck, mincheck
+from .verifiers import CexStrategy, check, hcheck, mincheck
 
 CEGIS = "cegis"
 MINCEGIS = "mincegis"
@@ -50,7 +50,7 @@ class ProbeOverflowError(RuntimeError):
     """Auxiliary probe budget exhausted."""
 
 
-ProbeFn = Callable[[Language], Verdict]
+ProbeFn = Callable[[Language], Optional[int]]
 StepFn = Callable[[Program, TraceEntry, Optional[int], Optional[ProbeFn]], Program]
 
 
@@ -177,9 +177,9 @@ def run_engine(
     """Execute the recursion for up to ``budget`` steps.
 
     Iteration i verifies the candidate produced at iteration i-1 and then
-    applies F to (candidate, tau(i), verdict).  The run halts early on a
-    frozen conjecture or once the candidate has been stable under
-    no-counterexample verdicts for the stability window.
+    applies F to (candidate, tau(i), counterexample or None).  The run halts
+    early on a frozen conjecture or once the candidate has been stable under
+    no-counterexample answers for the stability window.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown engine variant: {variant}")
@@ -194,32 +194,31 @@ def run_engine(
     probes = 0
     converged = False
 
+    def hprobe(lang: Language) -> Optional[int]:
+        # Called only from the step, after this iteration's history update.
+        nonlocal probes
+        probes += 1
+        if probes > probe_cap:
+            raise ProbeOverflowError(f"more than {probe_cap} probes")
+        return hcheck(lang, target, history)
+
+    probe = hprobe if variant == HCEGIS else None
+
     for i in range(1, limit + 1):
         entry = trace[i - 1]
         prev = current
 
         if variant == CEGIS:
-            verdict = check(prev.language, target, strategy)
+            cex = check(prev.language, target, strategy)
         elif variant == MINCEGIS:
-            verdict = mincheck(prev.language, target)
+            cex = mincheck(prev.language, target)
         elif variant == HCEGIS:
-            verdict = hcheck(prev.language, target, history)
-        else:  # positive-only ablation: the counterexample channel is cut
-            verdict = NO_CEX
-        cex = verdict.counterexample
-        tally.query(i, entry, prev.descriptor(), cex, "conjecture")
-
-        probe: Optional[ProbeFn] = None
-        if variant == HCEGIS:
+            cex = hcheck(prev.language, target, history)
             if entry is not BOT and (not history or entry > history[0]):
                 history = (entry,)
-
-            def probe(lang: Language, _h=history) -> Verdict:
-                nonlocal probes
-                probes += 1
-                if probes > probe_cap:
-                    raise ProbeOverflowError(f"more than {probe_cap} probes")
-                return hcheck(lang, target, _h)
+        else:  # positive-only ablation: the counterexample channel is cut
+            cex = None
+        tally.query(i, entry, prev.descriptor(), cex, "conjecture")
 
         current = generalizer.step(prev, entry, cex, probe)
         changed = current is not prev and current.semantic_key() != prev.semantic_key()
@@ -375,7 +374,7 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
         found = []
         for x in range(x_max):
             lang = explicit_language({x}, bound, f"probe[{x}]")
-            if probe(lang).is_bot:
+            if probe(lang) is None:
                 found.append(x)
         return frozenset(found)
 
@@ -510,14 +509,14 @@ def simulate_min_via_arbitrary(
             raise EngineFaultError("simulation stopped making progress")
 
         if probe is None:
-            cex = check(p_last.language, target, strategy).counterexample
+            cex = check(p_last.language, target, strategy)
             tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
             if cex is None:  # Case 1.2
                 lce.set(p_last, None)
             # Case 1.1.2 sweeps for the minimum; in Case 1.1.1 it is cached.
             sweep = cex is not None and lce.get(p_last) is _TOP
         else:
-            cex = check(probe, target, strategy).counterexample
+            cex = check(probe, target, strategy)
             tally.query(m, entry, probe.descriptor, cex, "probe")
             sweep = cex is None
             if sweep:  # Case 2.2

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import isqrt
 from operator import or_
 from typing import Callable, Iterable
 
@@ -145,17 +146,16 @@ class DiagonalFamily:
 
     @property
     def base_max(self) -> int:
-        n = 0
-        while pair_encode(0, n + 1) <= self.universe_bound:
-            n += 1
-        return n
+        """The largest n with <0, n> = n(n+3)/2 within the bound."""
+        return (isqrt(8 * self.universe_bound + 9) - 3) // 2
 
     def diag_language(self, i: int) -> Language:
-        if not 0 <= i <= self.base_max:
+        top = self.base_max
+        if not 0 <= i <= top:
             raise IndexOutOfRangeError(
                 f"diag index {i} not representable below bound {self.universe_bound}"
             )
-        mask = sum(1 << pair_encode(0, n) for n in range(i, self.base_max + 1))
+        mask = sum(1 << pair_encode(0, n) for n in range(i, top + 1))
         return Language(mask, self.universe_bound, f"diag[{i}]")
 
     def fin_language(self, members: Iterable[tuple[int, int]]) -> Language:

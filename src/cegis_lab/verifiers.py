@@ -1,8 +1,9 @@
 """The three counterexample oracles: check, mincheck, hcheck.
 
-All three are exact bounded-universe subset-query checkers: a verdict of
-"no counterexample" means the candidate's members (within the universe
-bound) are contained in the target.  Each works on the bitmask of the
+All three are exact bounded-universe subset-query checkers.  Each answers
+with the counterexample itself, or None for "no counterexample" (the
+paper's bottom): the candidate's members (within the universe bound) are
+contained in the target.  Each works on the bitmask of the
 candidate's members outside the target.  Counterexample selection among the
 difference set is pluggable for the arbitrary-counterexample verifier.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .core import Language, TraceEntry, bits, smpl
 
@@ -24,19 +25,6 @@ _KINDS = (FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX, CONSISTENT_AVOIDING)
 
 class StrategyInfeasibleError(RuntimeError):
     """The avoid-set constraint leaves no selectable counterexample."""
-
-
-class Verdict(NamedTuple):
-    """Either no-counterexample (None) or a single counterexample element."""
-
-    counterexample: Optional[int]
-
-    @property
-    def is_bot(self) -> bool:
-        return self.counterexample is None
-
-
-NO_CEX = Verdict(None)
 
 
 @dataclass(frozen=True)
@@ -81,28 +69,26 @@ def _difference(candidate: Language, target: Language) -> int:
     return c ^ (c & target.mask)
 
 
-def _sound(candidate: Language, target: Language, e: int) -> Verdict:
+def _sound(candidate: Language, target: Language, e: int) -> int:
     assert candidate.contains(e) and not target.contains(e), (
         f"unsound counterexample {e} for {candidate.descriptor}"
     )
-    return Verdict(e)
+    return e
 
 
 def check(
     candidate: Language, target: Language, strategy: CexStrategy = CexStrategy()
-) -> Verdict:
+) -> Optional[int]:
     """Arbitrary-counterexample subset query."""
     diff = _difference(candidate, target)
-    if not diff:
-        return NO_CEX
-    return _sound(candidate, target, strategy.select(diff))
+    return _sound(candidate, target, strategy.select(diff)) if diff else None
 
 
-def mincheck(candidate: Language, target: Language) -> Verdict:
+def mincheck(candidate: Language, target: Language) -> Optional[int]:
     """Minimal counterexample under the candidate's element ordering."""
     diff = _difference(candidate, target)
     if not diff:
-        return NO_CEX
+        return None
     ordering = candidate.ordering
     least = _lowest(diff) if ordering is None else ordering.least(diff)
     return _sound(candidate, target, least)
@@ -112,17 +98,15 @@ def hcheck(
     candidate: Language,
     target: Language,
     history: Iterable[TraceEntry],
-) -> Verdict:
+) -> Optional[int]:
     """History-bounded counterexample: strictly below some seen example.
 
     m < tau(j) for some j is equivalent to m < max(SMPL(history)); padding
-    entries never participate.  With empty history the verdict is always
-    no-counterexample.  Among eligible elements the smallest is returned.
+    entries never participate.  With empty history the answer is always
+    None.  Among eligible elements the smallest is returned.
     """
     seen = smpl(history)
     if not seen:
-        return NO_CEX
+        return None
     least = _lowest(_difference(candidate, target))  # -1 for no difference
-    if not 0 <= least < max(seen):
-        return NO_CEX
-    return _sound(candidate, target, least)
+    return _sound(candidate, target, least) if 0 <= least < max(seen) else None

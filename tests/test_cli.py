@@ -229,6 +229,11 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("run", "--family", "diagonal", "--target", "fin:[[true,2]]"),
     ("run", "--family", "diagonal", "--target", "fin:[[false,2],[1,3]]"),
     ("run", "--family", "diagonal", "--target", "fin:[[1,2.0]]"),
+    # Gold and diagonal masks are B+1 bits: bounds above 2**20 are refused.
+    ("run", "--family", "gold", "--universe-bound", "99999999999999999999", "--target", "full"),
+    ("run", "--family", "diagonal", "--target", "diag:3", "--universe-bound", "99999999999999"),
+    ("run", "--family", "gold", "--universe-bound", "1048577", "--target", "full"),
+    ("run", "--family", "diagonal", "--universe-bound", "1048577", "--target", "diag:3"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
@@ -278,6 +283,19 @@ def test_universe_bound_below_the_least_names_it(tmp_path, capsys, family, bound
     assert run_cli("run", "--family", family, "--universe-bound", bound, "--target", target,
                    "--out", str(tmp_path)) == 1
     assert f"at least {least} for family {family}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,target", [("gold", "full"), ("diagonal", "diag:3")])
+def test_universe_bound_above_the_ceiling_names_it(tmp_path, capsys, family, target):
+    assert run_cli("run", "--family", family, "--universe-bound", "1048577", "--target", target,
+                   "--out", str(tmp_path)) == 1
+    assert f"at most 1048576 for family {family}, got 1048577" in capsys.readouterr().err
+
+
+def test_universe_bound_at_the_ceiling_is_accepted(tmp_path, capsys):
+    assert run_cli("run", "--family", "gold", "--universe-bound", "1048576",
+                   "--target", "minus:17", "--engine", "cegis", "--out", str(tmp_path)) == 0
+    assert " queries=1 " in capsys.readouterr().out
 
 
 def test_generalizer_flag_is_gone(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cegis_lab import engines
 from cegis_lab.core import (
@@ -27,6 +27,7 @@ from cegis_lab.engines import (
     LceMap,
     MINCEGIS,
     POSITIVE_ONLY,
+    SIMULATED_MINCEGIS,
     STALLED,
     ProbeOverflowError,
     RectAux,
@@ -40,13 +41,12 @@ from cegis_lab.engines import (
     simulate_min_via_arbitrary,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.harness import default_stability_window
+from cegis_lab.harness import default_budget, default_stability_window
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
     FIRST_FOUND,
     SEEDED_RANDOM,
     CexStrategy,
-    Verdict,
     hcheck,
     mincheck,
 )
@@ -293,8 +293,7 @@ def test_simulation_chain_matches_direct_and_lce_is_sound():
     bound = target.universe_bound
     for member_set, value in sim.sim_state.lce.items():
         lang = explicit_language(member_set, bound)
-        oracle = mincheck(lang, target)
-        assert oracle.counterexample == value
+        assert mincheck(lang, target) == value
 
 
 def test_simulation_rectangle_equals_direct_run():
@@ -430,7 +429,7 @@ def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed):
     assert equal or (direct.status == CONVERGED and not direct.semantic_match)
     for member_set, value in sim.sim_state.lce.items():
         lang = target._replace(mask=sum(1 << m for m in member_set), descriptor="cached")
-        assert mincheck(lang, target).counterexample == value
+        assert mincheck(lang, target) == value
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -446,12 +445,64 @@ def test_theorem1_simulation_stops_where_direct_mincegis_stops():
     assert semantically_equal(direct.final.language, sim.final.language)
 
 
+# ---------------------------------------------------------------------------
+# Lemma 1 and Gold's observation as properties
+
+
+SCHEDULES = st.sampled_from(["canonical", "seeded-random", "padded-seeded"])
+STRATEGIES = st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX])
+
+
+def _default_run(variant, target, gen, schedule, seed, kind=FIRST_FOUND):
+    """A run set up as `cegis-lab run` sets it up: budget and window at their defaults."""
+    budget = default_budget(target)
+    trace = trace_generate(target, schedule, seed=seed, length=budget)
+    window = min(default_stability_window(target), budget)
+    return run_engine(variant, target, trace, gen, CexStrategy(kind, seed=seed),
+                      budget=budget, stability_window=window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), schedule=SCHEDULES, kind=STRATEGIES, seed=st.integers(0, 2**16))
+def test_lemma1_cegis_takes_i_plus_2_queries_and_hcegis_stalls(data, schedule, kind, seed):
+    """Lemma 1: arbitrary counterexamples identify chain[i] in i + 2 queries.
+    A history holds only members of chain[i], all below the least
+    counterexample i + 1, so history-bounded verification never refutes."""
+    fam = ChainFamily(max_index=data.draw(st.integers(0, 30)))
+    i = data.draw(st.integers(0, fam.max_index))
+    target, gen = fam.language(i), chain_generalizer(fam)
+    cegis = _default_run(CEGIS, target, gen, schedule, seed, kind)
+    assert cegis.status == CONVERGED and cegis.semantic_match and cegis.queries == i + 2
+    hcegis = _default_run(HCEGIS, target, gen, schedule, seed)
+    assert hcegis.status == STALLED and hcegis.cex_count == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), schedule=SCHEDULES, kind=STRATEGIES, seed=st.integers(0, 2**16))
+def test_gold_one_counterexample_pins_the_target_and_positives_never_do(
+    data, schedule, kind, seed,
+):
+    """Gold: CEGIS identifies every member in at most two conjectures; with
+    the counterexample channel cut, the learner never leaves gold[full]."""
+    fam = GoldFamily(bound=data.draw(st.integers(0, 60)))
+    k = data.draw(st.integers(-1, fam.bound))
+    target = fam.full_language() if k < 0 else fam.minus_language(k)
+    # gold[-0] at bound 0 is empty, which the canonical schedule cannot list.
+    assume(target.mask or schedule != "canonical")
+    gen = gold_generalizer(fam)
+    cegis = _default_run(CEGIS, target, gen, schedule, seed, kind)
+    assert cegis.status == CONVERGED and cegis.semantic_match
+    assert len({r.candidate for r in cegis.iterations}) <= 2
+    positive = _default_run(POSITIVE_ONLY, target, gen, schedule, seed)
+    assert positive.final.descriptor() == "gold[full]"
+    assert positive.status == (CONVERGED if k < 0 else STALLED)
+
+
 def test_value_types_are_immutable():
     lang = explicit_language({1, 2}, 5)
     values = [
         (lang, "mask"),
         (Program("chain", 0, lang), "language"),
-        (Verdict(3), "counterexample"),
         (IterationRecord(1, None, "chain[0]", None, "conjecture"), "event"),
         (RectAux(), "hull"),
     ]
@@ -479,16 +530,16 @@ def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
         steps.append((prev, cex))
 
         def full_history_probe(lang):
-            verdict = probe(lang)
-            assert verdict == hcheck(lang, target, trace.prefix(i))
-            return verdict
+            answer = probe(lang)
+            assert answer == hcheck(lang, target, trace.prefix(i))
+            return answer
 
         return inner.step(prev, entry, cex, full_history_probe)
 
     run = run_engine(HCEGIS, target, trace, replace(inner, step=step), budget=80)
     assert run.probes > 0 and any(cex is not None for _, cex in steps)
     for i, (prev, cex) in enumerate(steps, 1):
-        assert cex == hcheck(prev.language, target, trace.prefix(i - 1)).counterexample
+        assert cex == hcheck(prev.language, target, trace.prefix(i - 1))
 
 
 def test_probe_order_is_the_family_ordering():
@@ -537,17 +588,29 @@ def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
         simulate_min_via_arbitrary(target, trace, gold_generalizer(fam), budget=100)
 
 
-def test_the_simulation_asks_the_module_level_check(monkeypatch):
-    # A tracer that wraps engines.check must see every query of the run.
+@pytest.mark.parametrize("variant,oracle", [
+    (SIMULATED_MINCEGIS, "check"), (CEGIS, "check"), (MINCEGIS, "mincheck"), (HCEGIS, "hcheck"),
+], ids=["simulation-check", "cegis-check", "mincegis-mincheck", "hcegis-hcheck"])
+def test_the_simulation_asks_the_module_level_check(monkeypatch, variant, oracle):
+    # A tracer that wraps an oracle in engines, as the benchmark does, must
+    # see every query of the run and every probe of an HCEGIS run.
     calls = []
-    real = engines.check
-    monkeypatch.setattr(engines, "check", lambda *args: calls.append(1) or real(*args))
-    fam = RectangleFamily(grid_bound=2)
-    target = fam.language(-1, 1, -1, 0)
+    real = getattr(engines, oracle)
+    monkeypatch.setattr(engines, oracle, lambda *args: calls.append(1) or real(*args))
+    if variant == HCEGIS:
+        fam = DiagonalFamily()
+        target, gen = fam.fin_language({(0, 2), (1, 5)}), diag_generalizer(fam)
+    else:
+        fam = RectangleFamily(grid_bound=2)
+        target, gen = fam.language(-1, 1, -1, 0), rectangle_generalizer(fam)
     trace = trace_generate(target, "canonical", length=200)
-    run = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=200)
-    assert any(r.event == "probe" for r in run.iterations)
-    assert len(calls) == run.queries
+    if variant == SIMULATED_MINCEGIS:
+        run = simulate_min_via_arbitrary(target, trace, gen, budget=200)
+        assert any(r.event == "probe" for r in run.iterations)
+    else:
+        run = run_engine(variant, target, trace, gen, budget=200)
+    assert run.probes > 0 if variant == HCEGIS else run.probes == 0
+    assert len(calls) == run.queries + run.probes
 
 
 def test_probe_cap_overflow_on_diagonal_hcegis():

@@ -190,6 +190,23 @@ def test_diag_is_upward_base_plus_diagonal_point():
         assert l3.contains(pair_encode(0, n))
 
 
+def _base_max_by_counting(bound):
+    n = 0
+    while pair_encode(0, n + 1) <= bound:
+        n += 1
+    return n
+
+
+# Near 2**20, the bounds on either side of <0, 1446> and <0, 1447>.
+_NEAR_2_20 = [c + d for c in (pair_encode(0, 1446), 1 << 20, pair_encode(0, 1447))
+              for d in (-1, 0, 1)]
+
+
+def test_base_max_closed_form_equals_the_counting_loop():
+    for bound in [*range(5001), *_NEAR_2_20]:
+        assert DiagonalFamily(bound).base_max == _base_max_by_counting(bound)
+
+
 def test_fin_known_memberships():
     fam = DiagonalFamily()
     lang = fam.fin_language({(0, 2), (1, 7)})

@@ -23,7 +23,6 @@ from cegis_lab.verifiers import (
     FIRST_FOUND,
     SEEDED_RANDOM,
     CexStrategy,
-    NO_CEX,
     StrategyInfeasibleError,
     check,
     hcheck,
@@ -80,24 +79,24 @@ POOLS = all_family_pools()
 
 def test_check_known_values():
     chain = ChainFamily()
-    assert check(chain.language(2), chain.language(5)).is_bot
-    verdict = check(chain.language(7), chain.language(5), CexStrategy(FIRST_FOUND))
-    assert verdict.counterexample == 6
+    assert check(chain.language(2), chain.language(5)) is None
+    cex = check(chain.language(7), chain.language(5), CexStrategy(FIRST_FOUND))
+    assert cex == 6
     gold = GoldFamily()
     for kind in (FIRST_FOUND, ADVERSARIAL_MAX):
-        v = check(gold.full_language(), gold.minus_language(17), CexStrategy(kind))
-        assert v.counterexample == 17
+        cex = check(gold.full_language(), gold.minus_language(17), CexStrategy(kind))
+        assert cex == 17
 
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_check_bot_iff_subset(family):
     rng = family_rng(family, 0)
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
-        verdict = check(candidate, target)
+        cex = check(candidate, target)
         diff = brute_difference(candidate, target)
-        assert verdict.is_bot == (not diff)
-        if not verdict.is_bot:
-            assert verdict.counterexample in diff
+        assert (cex is None) == (not diff)
+        if cex is not None:
+            assert cex in diff
 
 
 # ---------------------------------------------------------------------------
@@ -106,24 +105,24 @@ def test_check_bot_iff_subset(family):
 
 def test_mincheck_known_values():
     chain = ChainFamily()
-    assert mincheck(chain.language(7), chain.language(5)).counterexample == 6
-    assert mincheck(chain.language(2), chain.language(5)).is_bot
+    assert mincheck(chain.language(7), chain.language(5)) == 6
+    assert mincheck(chain.language(2), chain.language(5)) is None
     rect = RectangleFamily()
-    verdict = mincheck(rect.universal_language(), rect.language(-1, 1, -1, 1))
-    assert verdict.counterexample == point_encode(-2, 0) == 6
+    cex = mincheck(rect.universal_language(), rect.language(-1, 1, -1, 1))
+    assert cex == point_encode(-2, 0) == 6
 
 
 @pytest.mark.parametrize("family", sorted(POOLS))
 def test_mincheck_equals_brute_force_minimum(family):
     rng = family_rng(family, 1)
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
-        verdict = mincheck(candidate, target)
+        cex = mincheck(candidate, target)
         diff = brute_difference(candidate, target)
         if not diff:
-            assert verdict.is_bot
+            assert cex is None
         else:
             expected = min(diff, key=candidate.ordering_key)
-            assert verdict.counterexample == expected
+            assert cex == expected
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +131,20 @@ def test_mincheck_equals_brute_force_minimum(family):
 
 def test_hcheck_known_values():
     chain = ChainFamily()
-    assert hcheck(chain.language(7), chain.language(5), [0, 1, 2]).is_bot
+    assert hcheck(chain.language(7), chain.language(5), [0, 1, 2]) is None
     diag = DiagonalFamily()
     target = diag.diag_language(3)
     probe = explicit_language({17}, universe_bound=target.universe_bound)
     history = [pair_encode(1, 9)]
     assert pair_encode(1, 9) > 17 and not target.contains(17)
-    assert hcheck(probe, target, history).counterexample == 17
-    assert hcheck(chain.language(2), chain.language(5), [5, 4]).is_bot
+    assert hcheck(probe, target, history) == 17
+    assert hcheck(chain.language(2), chain.language(5), [5, 4]) is None
 
 
 def test_hcheck_empty_history_is_bot():
     chain = ChainFamily()
-    assert hcheck(chain.language(7), chain.language(5), []).is_bot
-    assert hcheck(chain.language(7), chain.language(5), [BOT, BOT]).is_bot
+    assert hcheck(chain.language(7), chain.language(5), []) is None
+    assert hcheck(chain.language(7), chain.language(5), [BOT, BOT]) is None
 
 
 @pytest.mark.parametrize("family", sorted(POOLS))
@@ -154,18 +153,18 @@ def test_hcheck_counterexamples_below_history_max(family):
     for candidate, target in random_language_pairs(rng, POOLS[family], 200):
         members = sorted(target.members())
         history = [rng.choice(members) for _ in range(rng.randint(0, 5))]
-        verdict = hcheck(candidate, target, history)
+        cex = hcheck(candidate, target, history)
         observed = smpl(history)
-        if verdict.is_bot:
+        if cex is None:
             eligible = [
                 e for e in brute_difference(candidate, target)
                 if observed and e < max(observed)
             ]
             assert not eligible
         else:
-            assert observed and verdict.counterexample < max(observed)
-            assert candidate.contains(verdict.counterexample)
-            assert not target.contains(verdict.counterexample)
+            assert observed and cex < max(observed)
+            assert candidate.contains(cex)
+            assert not target.contains(cex)
 
 
 @given(st.data())
@@ -188,10 +187,9 @@ def test_hcheck_depends_only_on_history_max(data):
 def test_all_verdicts_sound(family):
     rng = family_rng(family, 3)
     for candidate, target in random_language_pairs(rng, POOLS[family], 50):
-        for verdict in (check(candidate, target), mincheck(candidate, target)):
-            if not verdict.is_bot:
-                e = verdict.counterexample
-                assert candidate.contains(e) and not target.contains(e)
+        for cex in (check(candidate, target), mincheck(candidate, target)):
+            if cex is not None:
+                assert candidate.contains(cex) and not target.contains(cex)
 
 
 def test_seeded_random_strategy_deterministic():
@@ -200,34 +198,29 @@ def test_seeded_random_strategy_deterministic():
     s1 = CexStrategy(SEEDED_RANDOM, seed=7)
     s2 = CexStrategy(SEEDED_RANDOM, seed=7)
     s3 = CexStrategy(SEEDED_RANDOM, seed=8)
-    picks1 = [check(candidate, target, s1).counterexample for _ in range(5)]
-    picks2 = [check(candidate, target, s2).counterexample for _ in range(5)]
+    picks1 = [check(candidate, target, s1) for _ in range(5)]
+    picks2 = [check(candidate, target, s2) for _ in range(5)]
     assert picks1 == picks2
-    assert any(check(candidate, target, s3).counterexample != p for p in picks1) or True
+    assert any(check(candidate, target, s3) != p for p in picks1) or True
     for p in picks1:
         assert 6 <= p <= 20
 
 
 def test_adversarial_max_strategy():
     chain = ChainFamily()
-    verdict = check(chain.language(9), chain.language(5), CexStrategy(ADVERSARIAL_MAX))
-    assert verdict.counterexample == 9
+    cex = check(chain.language(9), chain.language(5), CexStrategy(ADVERSARIAL_MAX))
+    assert cex == 9
 
 
 def test_consistent_avoiding_strategy():
     chain = ChainFamily()
     strategy = CexStrategy(CONSISTENT_AVOIDING, avoid=frozenset({6}))
-    verdict = check(chain.language(7), chain.language(5), strategy)
-    assert verdict.counterexample == 7
+    cex = check(chain.language(7), chain.language(5), strategy)
+    assert cex == 7
     # The whole difference set is excluded: infeasible.
     stuck = CexStrategy(CONSISTENT_AVOIDING, avoid=frozenset({6, 7}))
     with pytest.raises(StrategyInfeasibleError):
         check(chain.language(7), chain.language(5), stuck)
-
-
-def test_no_cex_singleton():
-    assert NO_CEX.is_bot
-    assert NO_CEX.counterexample is None
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +300,12 @@ def test_bitmask_oracles_equal_frozenset_brute_force(data):
             with pytest.raises(StrategyInfeasibleError):
                 check(candidate, target, strategy)
             continue
-        verdict = check(candidate, target, strategy)
-        got = [] if verdict.is_bot else [verdict.counterexample]
+        cex = check(candidate, target, strategy)
+        got = [] if cex is None else [cex]
         assert got == expected.get(kind, [])
 
     least = min(diff, key=reference_key(name)) if diff else None
-    assert mincheck(candidate, target).counterexample == least
+    assert mincheck(candidate, target) == least
     # Differences of two family members rarely separate the radial order
     # from the code order, so the ordering is also probed on sparse sets.
     if candidate.ordering is not None:
@@ -323,7 +316,7 @@ def test_bitmask_oracles_equal_frozenset_brute_force(data):
     history = data.draw(st.lists(st.one_of(st.none(), st.integers(0, bound)), max_size=6))
     seen = [e for e in history if e is not None]
     eligible = [d for d in diff if seen and d < max(seen)]
-    assert hcheck(candidate, target, history).counterexample == min(eligible, default=None)
+    assert hcheck(candidate, target, history) == min(eligible, default=None)
 
     k = data.draw(st.integers(0, bound))
     assert candidate.intersect_singleton(k).members() == cand_ref & {k}
