@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import harness
 from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, trace_generate
 from .engines import (
     CEGIS,
@@ -27,6 +26,8 @@ from .engines import (
     InconsistentOracleError,
     ProbeOverflowError,
     chain_generalizer,
+    default_budget,
+    default_stability_window,
     diag_generalizer,
     gold_generalizer,
     rectangle_generalizer,
@@ -158,8 +159,8 @@ def cmd_run(args) -> int:
         raise ConfigError(f"unknown engine: {engine}")
 
     family, target, generalizer = _setup(family_name, bound, target_spec)
-    budget = _check_budget(harness.default_budget(target) if budget is None else budget)
-    window = min(harness.default_stability_window(target), budget)
+    budget = _check_budget(default_budget(target) if budget is None else budget)
+    window = min(default_stability_window(target), budget)
     if kind is not None and engine not in (CEGIS, SIMULATED_MINCEGIS):
         raise ConfigError(f"engine {engine} takes no strategy: only cegis and "
                           f"simulated-mincegis ask the arbitrary-counterexample oracle")
@@ -201,6 +202,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import harness  # the demos; `run` does not load them
+
     if args.name not in harness.DEMOS:
         raise ConfigError(f"unknown demo: {args.name}")
     kwargs = {}

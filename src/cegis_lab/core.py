@@ -76,10 +76,6 @@ def point_decode(code: int) -> tuple[int, int]:
     return zigzag_decode(a), zigzag_decode(b)
 
 
-def _natural_key(n: int) -> tuple:
-    return (n,)
-
-
 def bits(mask: int) -> list[int]:
     """The set bits of a nonnegative int bitmask, ascending."""
     text = bin(mask)[:1:-1]  # bit i is text[i]
@@ -138,24 +134,12 @@ class Language(NamedTuple):
     descriptor: str
     ordering: Optional[Ordering] = None
 
-    @property
-    def ordering_key(self) -> Callable[[int], tuple]:
-        """Sort key of the element ordering: the declared (possibly partial)
-        order first, then the documented tie-break."""
-        return _natural_key if self.ordering is None else self.ordering.key
-
     def contains(self, n: int) -> bool:
         return n >= 0 and bool(self.mask >> n & 1)
 
     def members(self) -> frozenset:
         """All members, as a set."""
         return frozenset(bits(self.mask))
-
-    def intersect_singleton(self, k: int) -> "Language":
-        return Language(
-            self.mask & 1 << k, self.universe_bound,
-            f"{self.descriptor}&{{{k}}}", self.ordering,
-        )
 
 
 def semantically_equal(a: Language, b: Language) -> bool:

@@ -17,7 +17,6 @@ from .core import (
     Program,
     Trace,
     TraceEntry,
-    bits,
     explicit_language,
     pair_decode,
     semantically_equal,
@@ -75,8 +74,7 @@ class IterationRecord(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-@dataclass
-class SimState:
+class SimState(NamedTuple):
     lce: "LceMap"
     p_sim: Program
     p_last: Program
@@ -85,8 +83,7 @@ class SimState:
     tau_done_len: int
 
 
-@dataclass
-class EngineRun:
+class EngineRun(NamedTuple):
     variant: str
     iterations: list[IterationRecord]
     final: Program
@@ -98,6 +95,14 @@ class EngineRun:
     stability_window: int
     semantic_match: bool
     sim_state: Optional[SimState] = None
+
+
+def default_stability_window(target: Language) -> int:
+    return max(1, 2 * min(target.mask.bit_count(), 50))
+
+
+def default_budget(target: Language) -> int:
+    return 10 * max(target.universe_bound, 1)
 
 
 def _is_frozen(program: Program) -> bool:
@@ -440,10 +445,6 @@ class LceMap:
     def set(self, program: Program, value: Optional[int]) -> None:
         self._entries[program.semantic_key()] = value
 
-    def items(self):
-        """(member set, cached value) pairs."""
-        return [(frozenset(bits(key)), value) for key, value in self._entries.items()]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -530,7 +531,7 @@ def simulate_min_via_arbitrary(
                 mu = 0  # also where the next sweep starts
                 probe = None
         if sweep:
-            # p_last.language.intersect_singleton(order[mu]), built in place
+            # The singleton probe {order[mu]} & p_last, built in place
             k = order[mu]
             lang = p_last.language
             probe = _new_tuple(Language, (

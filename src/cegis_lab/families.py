@@ -5,11 +5,10 @@ two distinct member languages differ on some element <= B.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import isqrt
 from operator import or_
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     Language,
@@ -17,8 +16,6 @@ from .core import (
     pair_decode,
     pair_encode,
     point_decode,
-    point_encode,
-    zigzag_decode,
     zigzag_encode,
 )
 
@@ -35,8 +32,7 @@ class InvalidFamilyMemberError(ValueError):
     """A finite diagonal-family member violating the family definition."""
 
 
-@dataclass(frozen=True)
-class ChainFamily:
+class ChainFamily(NamedTuple):
     """L_i = {n | n <= i}; the languages form a strict chain."""
 
     max_index: int = 120
@@ -50,11 +46,7 @@ class ChainFamily:
             raise IndexOutOfRangeError(f"chain index {i} not in [0, {self.max_index}]")
         return Language((1 << i + 1) - 1, self.universe_bound, f"chain[{i}]")
 
-    def template(self, i: int, n: int) -> int:
-        return 1 if n <= i else 0
 
-
-@dataclass(frozen=True)
 class RectangleFamily:
     """Axis-aligned rectangles on a signed grid, encoded as pair-codes.
 
@@ -68,35 +60,30 @@ class RectangleFamily:
     any code.
     """
 
-    grid_bound: int = 32
-    # _columns[i] is the bitmask of the grid points with x < i - grid_bound,
-    # _rows[i] the same for y, so a rectangle is four big-int operations.
-    _columns: tuple = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
-    _ordering: Ordering = field(init=False, repr=False, compare=False)
-    decode: Callable[[int], tuple[int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("grid_bound", "universe_bound", "decode", "_columns", "_rows", "_ordering")
 
-    def __post_init__(self):
-        g = self.grid_bound
+    def __init__(self, grid_bound: int = 32):
+        g = self.grid_bound = grid_bound
         span = range(-g, g + 1)
+        # point_encode(x, y) inline: the Cantor code of the zigzagged axes
+        zigzag = [2 * z if z >= 0 else -2 * z - 1 for z in span]
         points: dict[int, tuple[int, int]] = {}
         columns = [0] * len(span)
         rows = [0] * len(span)
-        for i, x in enumerate(span):
-            for j, y in enumerate(span):
-                code = point_encode(x, y)
+        for i, (x, zx) in enumerate(zip(span, zigzag)):
+            for j, (y, zy) in enumerate(zip(span, zigzag)):
+                s = zx + zy
+                code = s * (s + 1) // 2 + zy
                 points[code] = (x, y)
                 columns[i] |= 1 << code
                 rows[j] |= 1 << code
-        object.__setattr__(self, "_columns", tuple(accumulate(columns, or_, initial=0)))
-        object.__setattr__(self, "_rows", tuple(accumulate(rows, or_, initial=0)))
-        object.__setattr__(self, "_ordering", Ordering(self.ordering_key, self.universe_bound))
-        object.__setattr__(self, "decode", points.__getitem__)
-
-    @property
-    def universe_bound(self) -> int:
-        g = self.grid_bound
-        return pair_encode(zigzag_encode(g), zigzag_encode(g))
+        # _columns[i] is the bitmask of the grid points with x < i - g,
+        # _rows[i] the same for y, so a rectangle is four big-int operations.
+        self._columns = tuple(accumulate(columns, or_, initial=0))
+        self._rows = tuple(accumulate(rows, or_, initial=0))
+        self.universe_bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
+        self._ordering = Ordering(self.ordering_key, self.universe_bound)
+        self.decode = points.__getitem__
 
     @staticmethod
     def ordering_key(code: int) -> tuple:
@@ -119,20 +106,8 @@ class RectangleFamily:
         g = self.grid_bound
         return self.language(-g, g, -g, g)
 
-    def template(self, i: int, n: int) -> int:
-        """TEMPLATE for rectangles: the index packs the four zigzagged bounds."""
-        ab, cd = pair_decode(i)
-        za, zb = pair_decode(ab)
-        zc, zd = pair_decode(cd)
-        ax, bx, ay, by = map(zigzag_decode, (za, zb, zc, zd))
-        if ax > bx or ay > by:
-            return 0
-        x, y = point_decode(n)
-        return 1 if ax <= x <= bx and ay <= y <= by else 0
 
-
-@dataclass(frozen=True)
-class DiagonalFamily:
+class DiagonalFamily(NamedTuple):
     """The two-form family over encoded pairs <j, n>.
 
     diag(i): {<0, n> | i <= n <= base_max}, so the index is the minimum of
@@ -178,14 +153,8 @@ class DiagonalFamily:
         label = ",".join(f"({j},{n})" for j, n in pairs)
         return Language(sum(1 << c for c in codes), self.universe_bound, f"fin[{label}]")
 
-    def template(self, i: int, n: int) -> int:
-        """TEMPLATE for the diag sub-family (fin members are parameter blocks)."""
-        a, b = pair_decode(n)
-        return 1 if a == 0 and i <= b <= self.base_max else 0
 
-
-@dataclass(frozen=True)
-class GoldFamily:
+class GoldFamily(NamedTuple):
     """The universal set [0, B] together with every one-point deletion."""
 
     bound: int = 50
@@ -202,11 +171,3 @@ class GoldFamily:
             raise IndexOutOfRangeError(f"gold deletion index {i} not in [0, {self.bound}]")
         full = (1 << self.bound + 1) - 1
         return Language(full ^ (1 << i), self.bound, f"gold[-{i}]")
-
-    def template(self, i: int, n: int) -> int:
-        """Index 0 is the full set; index i+1 deletes point i."""
-        if n > self.bound:
-            return 0
-        if i == 0:
-            return 1
-        return 0 if n == i - 1 else 1

@@ -11,8 +11,7 @@ observable signature of non-identifiability in every separation demo here.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     CANONICAL,
@@ -34,6 +33,8 @@ from .engines import (
     EngineRun,
     Generalizer,
     chain_generalizer,
+    default_budget,  # noqa: F401  (harness.default_budget stays importable)
+    default_stability_window,
     diag_generalizer,
     gold_generalizer,
     rectangle_generalizer,
@@ -45,19 +46,10 @@ from .logio import run_jsonl
 from .verifiers import CONSISTENT_AVOIDING, CexStrategy, StrategyInfeasibleError
 
 
-@dataclass(frozen=True)
-class HarnessVerdict:
+class HarnessVerdict(NamedTuple):
     status: str
     converged_at: Optional[int]
     semantic_match: bool
-
-
-def default_stability_window(target: Language) -> int:
-    return max(1, 2 * min(target.mask.bit_count(), 50))
-
-
-def default_budget(target: Language) -> int:
-    return 10 * max(target.universe_bound, 1)
 
 
 def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
@@ -68,8 +60,7 @@ def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
     )
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     family: str
     target: str
     variant: str
@@ -78,21 +69,24 @@ class ReportRow:
     semantic_match: bool
     queries: int
     counterexamples: int
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
 
-@dataclass
-class SeparationReport:
+class SeparationReport(NamedTuple):
     title: str
     rows: list[ReportRow]
     conclusion: str
     passed: bool
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        for row in doc["rows"]:
-            row.update(row.pop("extra"))
-        return doc
+        """The report as JSON-ready data; each row's extra keys sit beside its fields."""
+        rows = []
+        for row in self.rows:
+            doc = row._asdict()
+            doc.update(doc.pop("extra"))
+            rows.append(doc)
+        return {"title": self.title, "rows": rows, "conclusion": self.conclusion,
+                "passed": self.passed}
 
     def to_markdown(self) -> str:
         lines = [f"# {self.title}", ""]

@@ -13,6 +13,9 @@ from .engines import EngineRun, IterationRecord
 
 Decoder = Optional[Callable[[int], tuple]]
 
+# json.dumps(doc, sort_keys=True) builds an encoder per call; one serves every line.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def record_line(record: IterationRecord, decoder: Decoder = None) -> str:
     doc = {
@@ -27,7 +30,7 @@ def record_line(record: IterationRecord, decoder: Decoder = None) -> str:
             doc["trace_entry_pair"] = list(decoder(record.entry))
         if record.cex is not None:
             doc["cex_pair"] = list(decoder(record.cex))
-    return json.dumps(doc, sort_keys=True)
+    return _encode(doc)
 
 
 def run_jsonl(run: EngineRun, decoder: Decoder = None) -> str:

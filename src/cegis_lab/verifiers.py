@@ -10,7 +10,6 @@ difference set is pluggable for the arbitrary-counterexample verifier.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Language, TraceEntry, bits, smpl
@@ -27,15 +26,18 @@ class StrategyInfeasibleError(RuntimeError):
     """The avoid-set constraint leaves no selectable counterexample."""
 
 
-@dataclass(frozen=True)
 class CexStrategy:
-    kind: str = FIRST_FOUND
-    seed: int = 0
-    avoid: frozenset = frozenset()
+    """Which element of a difference set ``check`` names: the lowest, a
+    seeded pick, the highest, or the lowest outside ``avoid``."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown strategy kind: {self.kind}")
+    __slots__ = ("kind", "seed", "avoid")
+
+    def __init__(self, kind: str = FIRST_FOUND, seed: int = 0, avoid: frozenset = frozenset()):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown strategy kind: {kind}")
+        self.kind = kind
+        self.seed = seed
+        self.avoid = avoid
 
     def select(self, difference: int) -> int:
         """Pick one element of a nonempty difference bitmask."""

@@ -338,6 +338,26 @@ def test_rectangle_runs_do_not_import_numpy(tmp_path):
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_import_loads_no_demos_and_one_dataclass():
+    """A fresh `import cegis_lab.cli` leaves the demos in `harness` unloaded,
+    and Generalizer is the package's only dataclass."""
+    script = (
+        "import importlib, pkgutil, sys, cegis_lab, cegis_lab.cli\n"
+        "print('cegis_lab.harness' in sys.modules)\n"
+        "mods = [importlib.import_module('cegis_lab.' + m.name)\n"
+        "        for m in pkgutil.iter_modules(cegis_lab.__path__)]\n"
+        "print(sorted({f'{v.__module__}.{v.__qualname__}' for m in mods\n"
+        "              for v in vars(m).values() if isinstance(v, type)\n"
+        "              and v.__module__.startswith('cegis_lab')\n"
+        "              and hasattr(v, '__dataclass_fields__')}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cegis_lab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "['cegis_lab.engines.Generalizer']"]
+
+
 def test_no_runtime_dependencies():
     pyproject = Path(cegis_lab.__file__).parents[2] / "pyproject.toml"
     assert "\ndependencies = []\n" in pyproject.read_text()

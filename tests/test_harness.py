@@ -1,7 +1,5 @@
 """Harness verdicts, demos, and reports."""
 
-from dataclasses import astuple
-
 import pytest
 
 from cegis_lab.core import pair_encode, trace_generate
@@ -94,7 +92,7 @@ def test_verdict_is_the_engine_status(family, engine, budget):
                          budget=budget, stability_window=window)
     assert (run.status == CONVERGED) == (run.converged_at is not None)
     verdict = convergence_verdict(run, target)
-    assert astuple(verdict) == (run.status, run.converged_at, run.semantic_match)
+    assert tuple(verdict) == (run.status, run.converged_at, run.semantic_match)
 
 
 def test_default_knobs_scale_with_target():
