@@ -105,10 +105,6 @@ def default_budget(target: Language) -> int:
     return 10 * max(target.universe_bound, 1)
 
 
-def _is_frozen(program: Program) -> bool:
-    return bool(getattr(program.aux, "frozen", False))
-
-
 class _Tally:
     """The bookkeeping both engine loops share: the records, the query and
     counterexample counts, the stability streak, and the one rule that
@@ -224,19 +220,25 @@ def run_engine(
         else:  # positive-only ablation: the counterexample channel is cut
             cex = None
         tally.query(i, entry, prev.descriptor(), cex, "conjecture")
-
-        current = generalizer.step(prev, entry, cex, probe)
-        changed = current is not prev and current.semantic_key() != prev.semantic_key()
-        tally.settle(i, changed, cex)
-
-        frozen = _is_frozen(current)
-        if frozen:
-            tally.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
-        if frozen or tally.stable(current):
-            converged = True
+        current, converged = _iterate(tally, i, entry, prev, cex, generalizer.step, probe)
+        if converged:
             break
 
     return tally.finish(variant, current, converged, probes)
+
+
+def _iterate(tally: _Tally, i: int, entry: TraceEntry, prev: Program, cex: Optional[int],
+             step: StepFn, probe: Optional[ProbeFn]) -> tuple[Program, bool]:
+    """Iteration i of a direct run after its query: apply F, settle the
+    stability streak, log a freeze, and say whether the run stops here (on a
+    frozen conjecture, or one stable for the window)."""
+    current = step(prev, entry, cex, probe)
+    changed = current is not prev and current.semantic_key() != prev.semantic_key()
+    tally.settle(i, changed, cex)
+    if getattr(current.aux, "frozen", False):
+        tally.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
+        return current, True
+    return current, tally.stable(current)
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +451,6 @@ class LceMap:
         return len(self._entries)
 
 
-def _replay_longest(
-    lce: LceMap, start: Program, entries: list[TraceEntry], step: StepFn
-) -> tuple[Program, int]:
-    """Replay F substituting cached minimal counterexamples for verifier
-    calls; stop before the first program whose cache entry is unknown."""
-    prog = start
-    consumed = 0
-    for e in entries:
-        value = lce.get(prog)
-        if value is _TOP:
-            break
-        prog = step(prog, e, value, None)
-        consumed += 1
-    return prog, consumed
-
-
 def simulate_min_via_arbitrary(
     target: Language,
     trace: Trace,
@@ -479,7 +465,9 @@ def simulate_min_via_arbitrary(
     Probing walks the universe in the declared element ordering: the first
     singleton intersection that draws a counterexample is the minimal one.
     Every micro-step consumes one trace entry into a backlog that is
-    replayed once the needed cache entries exist.
+    replayed once the needed cache entries exist, entry by entry as the
+    iterations of the direct MinCEGIS run: the simulation reads the entries
+    that run reads and stops where it stops.
     """
     strategy = strategy or CexStrategy()
     limit = min(budget, len(trace))
@@ -497,6 +485,8 @@ def simulate_min_via_arbitrary(
     tau_done = 0
 
     tally = _Tally(target, stability_window)
+    # The simulated direct run: its streak and counterexample count, no queries.
+    direct = _Tally(target, stability_window)
     since_progress = 0
     converged = False
 
@@ -540,20 +530,30 @@ def simulate_min_via_arbitrary(
             ))
             continue
 
-        # Replay the backlog as far as the cache allows and log the result:
-        # always after a counterexample, else only on a change.
-        prog, consumed = _replay_longest(lce, p_last, backlog, step)
+        # Replay the backlog as far as the cache allows, each entry as the next
+        # direct iteration with its cached minimal counterexample as verdict.
+        prog = p_last
+        consumed = 0
+        for e in backlog:
+            value = lce.get(prog)
+            if value is _TOP:
+                break
+            consumed += 1
+            direct.cex_count += value is not None
+            prog, converged = _iterate(direct, tau_done + consumed, e, prog, value, step, None)
+            if converged:
+                break
         del backlog[:consumed]
         tau_done += consumed
         if consumed:
             since_progress = 0
         changed = prog.semantic_key() != p_last.semantic_key()
         tally.settle(m, changed, cex)
+        # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:
             tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         p_last = prog
-        if cex is None and (_is_frozen(p_last) or tally.stable(p_last)):  # Case 1.2 only
-            converged = True
+        if converged:
             break
 
     # A run cut mid-sweep reports the pending probe as its simulated program.

@@ -32,7 +32,6 @@ from cegis_lab.engines import (
     ProbeOverflowError,
     RectAux,
     _TOP,
-    _replay_longest,
     chain_generalizer,
     default_budget,
     default_stability_window,
@@ -257,30 +256,6 @@ def test_cegis_fin_forgets_small_members():
 
 
 # ---------------------------------------------------------------------------
-# lce replay
-
-
-def test_t_lce_replay_examples():
-    fam = ChainFamily()
-    gen = chain_generalizer(fam)
-
-    prog, consumed = _replay_longest(LceMap(), gen.initial, [], gen.step)
-    assert prog is gen.initial and consumed == 0
-
-    # An unknown cache entry stops the replay before the first step.
-    stuck, consumed = _replay_longest(LceMap(), gen.initial, [0, 1], gen.step)
-    assert stuck is gen.initial and consumed == 0
-
-    lce = LceMap()
-    for i in range(6):
-        lce.set(Program("chain", i, fam.language(i), None), None)
-    lce.set(Program("chain", 6, fam.language(6), None), 6)
-    result, consumed = _replay_longest(lce, gen.initial, [0, 1, 2, 3, 4, 5, 0, 0, 0, 0], gen.step)
-    assert consumed == 10
-    assert result.index == 5 and result.aux.frozen
-
-
-# ---------------------------------------------------------------------------
 # Simulation of MinCEGIS by the arbitrary verifier
 
 
@@ -327,9 +302,13 @@ def test_simulation_consumes_trace_monotonically():
     gen = chain_generalizer(fam)
     trace = trace_generate(target, "seeded-random", seed=3, length=300)
     sim = simulate_min_via_arbitrary(target, trace, gen, budget=300)
-    assert sim.status == CONVERGED
-    assert sim.sim_state.tau_done_len <= len(trace)
-    assert sim.sim_state.tau_done_len > 0
+    direct = run_engine(MINCEGIS, target, trace, gen, budget=300)
+    assert sim.status == direct.status == CONVERGED
+    # The replay reads exactly the entries the direct run reads, up to the
+    # frozen conjecture where it stops.
+    conjectures = sum(r.event == "conjecture" for r in direct.iterations)
+    assert sim.sim_state.tau_done_len == conjectures
+    assert direct.iterations[-1].event == "freeze"
 
 
 def test_simulation_cut_mid_sweep_reports_the_pending_probe():
@@ -423,29 +402,27 @@ def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed):
     progress guard (an EngineFaultError would fail the test)."""
     family, target = case
     direct, sim = _theorem1_runs(THEOREM1_GENS[family], target, kind, schedule, seed)
-    equal = (
-        semantically_equal(direct.final.language, sim.final.language)
-        and direct.status == sim.status
-    )
-    # The one known gap (see the xfail below): a direct run that converged
-    # on a wrong conjecture, which the simulation's backlog replay read past.
-    assert equal or (direct.status == CONVERGED and not direct.semantic_match)
+    assert semantically_equal(direct.final.language, sim.final.language)
+    assert direct.status == sim.status
+    if direct.status == CONVERGED:
+        # The replay read exactly the entries the direct run read.
+        conjectures = sum(r.event == "conjecture" for r in direct.iterations)
+        assert sim.sim_state.tau_done_len == conjectures
     for member_set, value in lce_items(sim.sim_state.lce):
         lang = target._replace(mask=sum(1 << m for m in member_set), descriptor="cached")
         assert mincheck(lang, target) == value
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the simulation replays its backlog without a stability test between "
-    "entries: direct MinCEGIS stops after 23 entries on rect[-4,3,-2,-2], "
-    "18 unrefuted steps, while the simulation replays past entry 23 to the target"
-))
 def test_theorem1_simulation_stops_where_direct_mincegis_stops():
+    # Direct MinCEGIS stops after 23 entries, the last 18 unrefuted, on
+    # rect[-4,3,-2,-2], short of the target; the simulation stops there too.
     target = THEOREM1_RECT.language(-5, 3, -2, -2)
     direct, sim = _theorem1_runs(
         THEOREM1_GENS["rectangle"], target, FIRST_FOUND, "seeded-random", 1
     )
     assert semantically_equal(direct.final.language, sim.final.language)
+    assert direct.status == sim.status == CONVERGED and not sim.semantic_match
+    assert sim.sim_state.tau_done_len == len(direct.iterations) == 23
 
 
 # ---------------------------------------------------------------------------
