@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # The padding symbol in traces.  A trace entry is either a natural number
@@ -106,9 +107,13 @@ class Ordering:
 
     @cached_property
     def _blocks(self) -> list[tuple[int, tuple[int, ...]]]:
-        order = self.order
-        blocks = [order[s:s + 64] for s in range(0, len(order), 64)]
-        return [(sum(1 << e for e in block), block) for block in blocks]
+        order, size, blocks = self.order, self.bound // 8 + 1, []
+        for s in range(0, len(order), 64):
+            buf = bytearray(size)  # one int from bytes, not a big int per element
+            for e in order[s:s + 64]:
+                buf[e >> 3] |= 1 << (e & 7)
+            blocks.append((int.from_bytes(buf, "little"), order[s:s + 64]))
+        return blocks
 
     def least(self, mask: int) -> int:
         """The least element of a nonempty bitmask over [0, bound]."""
@@ -167,6 +172,8 @@ class Trace:
     ``trace_generate`` makes its entries on demand, one block at a time
     from the schedule's RNG stream, so reading entry i costs only the
     entries up to i, and every prefix equals the one made eagerly.
+    Iterating (``entries`` and ``prefix`` do) yields the entries in order;
+    stopped after entry i, it has made no block past the one holding i.
     ``len`` is the requested length and makes nothing.
     """
 
@@ -183,12 +190,21 @@ class Trace:
             made.extend(next(self._blocks))
         return made[i]
 
+    def __iter__(self) -> Iterator[TraceEntry]:
+        made, length, i = self._made, self._length, 0
+        while i < length:
+            if i == len(made):
+                made.extend(next(self._blocks))
+            end = min(len(made), length)
+            yield from made[i:end]
+            i = end
+
     @property
     def entries(self) -> tuple[TraceEntry, ...]:
-        return self.prefix(self._length)
+        return tuple(self)
 
     def prefix(self, k: int) -> tuple[TraceEntry, ...]:
-        return tuple(self[i] for i in range(self._length)[:k])
+        return tuple(islice(self, len(range(self._length)[:k])))
 
     def __len__(self) -> int:
         return self._length
@@ -269,12 +285,20 @@ def _blocks(schedule: str, members: list[int], rng: random.Random) -> Iterator[l
     if schedule == SEEDED_RANDOM:
         while True:
             yield [rng.choice(members)]
-    while True:  # padded-seeded
+    # padded-seeded: each pass shuffles the members as Random.shuffle does, but
+    # from getrandbits alone, then pads before each member with probability 1/4.
+    getrandbits, rand = rng.getrandbits, rng.random
+    swaps = [(i, (i + 1).bit_length()) for i in range(len(members) - 1, 0, -1)]
+    while True:
         block = list(members)
-        rng.shuffle(block)
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:  # randbelow(i + 1), by rejection
+                j = getrandbits(k)
+            block[i], block[j] = block[j], block[i]
         entries: list[TraceEntry] = []
         for m in block:
-            if rng.random() < 0.25:
+            if rand() < 0.25:
                 entries.append(BOT)
             entries.append(m)
         yield entries

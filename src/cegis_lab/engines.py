@@ -9,6 +9,7 @@ engine variants so that only the verifier changes between experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -122,8 +123,7 @@ class _Tally:
     def query(self, i: int, entry: TraceEntry, candidate: str, cex: Optional[int], event: str):
         self.records.append(_new_tuple(IterationRecord, (i, entry, candidate, cex, event)))
         self.queries += 1
-        if cex is not None:
-            self.cex_count += 1
+        self.cex_count += cex is not None
 
     def settle(self, i: int, changed: bool, cex: Optional[int]) -> None:
         if changed:
@@ -138,19 +138,21 @@ class _Tally:
         )
 
     def finish(
-        self, variant: str, final: Program, converged: bool,
-        probes: int = 0, sim_state: Optional[SimState] = None,
+        self, variant: str, final: Program, converged: bool, probes: int = 0,
+        sim_state: Optional[SimState] = None, ruled_by: Optional[tuple[_Tally, int]] = None,
     ) -> EngineRun:
         match = semantically_equal(final.language, self.target)
+        # The tally and record count of the run whose state classifies this one.
+        rule, records = ruled_by or (self, len(self.records))
         if converged:
             status = CONVERGED
-        elif not self.records:
+        elif not records:
             status = BUDGET_EXHAUSTED
-        elif self.cex_count == 0 and not match:
+        elif rule.cex_count == 0 and not match:
             # Never refuted and wrong: the observable signature of
             # non-identifiability at this budget.
             status = STALLED
-        elif self.streak >= min(self.window, len(self.records)) and match:
+        elif rule.streak >= min(rule.window, records) and match:
             status = CONVERGED
         else:
             status = BUDGET_EXHAUSTED
@@ -205,8 +207,7 @@ def run_engine(
 
     probe = hprobe if variant == HCEGIS else None
 
-    for i in range(1, limit + 1):
-        entry = trace[i - 1]
+    for i, entry in zip(range(1, limit + 1), trace):
         prev = current
 
         if variant == CEGIS:
@@ -233,7 +234,7 @@ def _iterate(tally: _Tally, i: int, entry: TraceEntry, prev: Program, cex: Optio
     stability streak, log a freeze, and say whether the run stops here (on a
     frozen conjecture, or one stable for the window)."""
     current = step(prev, entry, cex, probe)
-    changed = current is not prev and current.semantic_key() != prev.semantic_key()
+    changed = current is not prev and current.language.mask != prev.language.mask
     tally.settle(i, changed, cex)
     if getattr(current.aux, "frozen", False):
         tally.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
@@ -291,12 +292,6 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
         ax, bx, ay, by = bounds
         return Program("rectangle", bounds, family.language(ax, bx, ay, by), RectAux(hull))
 
-    def hull_add(hull, x: int, y: int):
-        if hull is None:
-            return (x, x, y, y)
-        hx0, hx1, hy0, hy1 = hull
-        return (min(hx0, x), max(hx1, x), min(hy0, y), max(hy1, y))
-
     def shrink(bounds, hull, xc: int, yc: int):
         ax, bx, ay, by = bounds
         axes = [("x", xc), ("y", yc)]
@@ -333,8 +328,10 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
         hull = prev.aux.hull
         if entry is not BOT:
             x, y = family.decode(entry)
-            if hull is None or not (hull[0] <= x <= hull[1] and hull[2] <= y <= hull[3]):
-                hull = hull_add(hull, x, y)
+            if hull is None:
+                hull = (x, x, y, y)
+            elif not (hull[0] <= x <= hull[1] and hull[2] <= y <= hull[3]):
+                hull = (min(hull[0], x), max(hull[1], x), min(hull[2], y), max(hull[3], y))
             ax, bx, ay, by = bounds
             # Repair: a positive example outside the bounds re-expands them.
             if not (ax <= x <= bx and ay <= y <= by):
@@ -458,77 +455,82 @@ def simulate_min_via_arbitrary(
     strategy: Optional[CexStrategy] = None,
     budget: int = 10_000,
     stability_window: int = 10,
+    direct_budget: Optional[int] = None,
 ) -> EngineRun:
     """Reproduce a minimal-counterexample run using only the arbitrary
-    verifier, finding each minimal counterexample in micro-steps.
+    verifier, finding each minimal counterexample by a probe sweep.
 
-    Probing walks the universe in the declared element ordering: the first
-    singleton intersection that draws a counterexample is the minimal one.
-    Every micro-step consumes one trace entry into a backlog that is
-    replayed once the needed cache entries exist, entry by entry as the
-    iterations of the direct MinCEGIS run: the simulation reads the entries
-    that run reads and stops where it stops.
+    Every micro-step reads one trace entry into a backlog and asks one
+    query.  A refuted conjecture whose minimal counterexample is not cached
+    starts a sweep, one inner loop over the singleton probes {order[0]} & p,
+    {order[1]} & p, ... in the family's element ordering: the first probe
+    that draws a counterexample names the minimal one.  The backlog is then
+    replayed as far as the cache allows, entry by entry as the iterations of
+    the direct MinCEGIS run: the simulation reads the entries that run reads
+    and stops where it stops, also where ``direct_budget``, that run's
+    budget (None: unbounded), stops it, with the status it has there.
     """
     strategy = strategy or CexStrategy()
-    limit = min(budget, len(trace))
+    if direct_budget is not None:  # the direct run reads at most this many entries
+        direct_budget = max(min(direct_budget, len(trace)), 0)
+    limit = 0 if direct_budget == 0 else min(budget, len(trace))
     step = generalizer.step
 
     base = generalizer.initial.language
     order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
+    # Progress invariant: between extensions of the consumed prefix the
+    # simulation can spend at most one full probe sweep plus overhead.
+    guard = len(order) + 2
 
     lce = LceMap()
     p_last = generalizer.initial
-    # While a sweep runs, the singleton probe {order[mu]} & p_last; else None.
-    probe: Optional[Language] = None
-    mu = 0
+    mu: Optional[int] = None  # probes of a sweep cut short; {order[mu]} & p_last is pending
     backlog: list[TraceEntry] = []
     tau_done = 0
 
     tally = _Tally(target, stability_window)
+    records = tally.records
     # The simulated direct run: its streak and counterexample count, no queries.
     direct = _Tally(target, stability_window)
-    since_progress = 0
+    progress_at = 0  # the last micro-step whose replay extended the consumed prefix
     converged = False
 
-    for m in range(1, limit + 1):
-        entry = trace[m - 1]
+    stream = zip(range(1, limit + 1), trace)
+    for m, entry in stream:
         backlog.append(entry)
-        since_progress += 1
-        # Progress invariant: between extensions of the consumed prefix the
-        # simulation can spend at most one full probe sweep plus overhead.
-        if since_progress > len(order) + 2:
+        if m - progress_at > guard:
             raise EngineFaultError("simulation stopped making progress")
 
-        if probe is None:
-            cex = check(p_last.language, target, strategy)
-            tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
-            if cex is None:  # Case 1.2
-                lce.set(p_last, None)
-            # Case 1.1.2 sweeps for the minimum; in Case 1.1.1 it is cached.
-            sweep = cex is not None and lce.get(p_last) is _TOP
-        else:
-            cex = check(probe, target, strategy)
-            tally.query(m, entry, probe.descriptor, cex, "probe")
-            sweep = cex is None
-            if sweep:  # Case 2.2
-                mu += 1
-                if mu >= len(order):
+        cex = check(p_last.language, target, strategy)
+        tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
+        if cex is None:  # Case 1.2
+            lce.set(p_last, None)
+        elif lce.get(p_last) is _TOP:
+            # Case 1.1.2 sweeps for the minimum (in Case 1.1.1 it is cached):
+            # each probe reads an entry, and the guard allows this many more.
+            lang = p_last.language
+            mask, bound, ordering = lang.mask, lang.universe_bound, lang.ordering
+            label, start, cex = lang.descriptor + "&{", len(records), None
+            for k, (m, entry) in zip(islice(order, guard - (m - progress_at)), stream):
+                backlog.append(entry)
+                descriptor = f"{label}{k}}}"
+                probe = _new_tuple(Language, (mask & 1 << k, bound, descriptor, ordering))
+                cex = check(probe, target, strategy)
+                records.append(_new_tuple(IterationRecord, (m, entry, descriptor, cex, "probe")))
+                if cex is not None:  # Case 2.1, else Case 2.2
+                    break
+            probes = len(records) - start
+            tally.queries += probes
+            if cex is None:
+                if probes == len(order):
                     raise InconsistentOracleError(
                         "probe sweep exhausted the universe without a counterexample"
                     )
-            else:  # Case 2.1: the probe's sole element is the minimal counterexample
-                lce.set(p_last, cex)
-                mu = 0  # also where the next sweep starts
-                probe = None
-        if sweep:
-            # The singleton probe {order[mu]} & p_last, built in place
-            k = order[mu]
-            lang = p_last.language
-            probe = _new_tuple(Language, (
-                lang.mask & 1 << k, lang.universe_bound,
-                f"{lang.descriptor}&{{{k}}}", lang.ordering,
-            ))
-            continue
+                mu = probes  # cut short by the budget, or by the guard on the next entry
+                continue
+            # Case 2.1: the probe's sole element is the minimal counterexample.
+            tally.cex_count += 1
+            lce.set(p_last, cex)
 
         # Replay the backlog as far as the cache allows, each entry as the next
         # direct iteration with its cached minimal counterexample as verdict.
@@ -541,24 +543,29 @@ def simulate_min_via_arbitrary(
             consumed += 1
             direct.cex_count += value is not None
             prog, converged = _iterate(direct, tau_done + consumed, e, prog, value, step, None)
-            if converged:
+            if converged or tau_done + consumed == direct_budget:
                 break
         del backlog[:consumed]
         tau_done += consumed
         if consumed:
-            since_progress = 0
-        changed = prog.semantic_key() != p_last.semantic_key()
+            progress_at = m
+        changed = prog.language.mask != p_last.language.mask
         tally.settle(m, changed, cex)
         # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:
-            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
+            records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         p_last = prog
-        if converged:
+        if converged or tau_done == direct_budget:
             break
 
-    # A run cut mid-sweep reports the pending probe as its simulated program.
-    p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
+    p_sim = p_last  # but a run cut mid-sweep reports its pending probe
+    if mu is not None:
+        k, lang = order[mu], p_last.language
+        probe = lang._replace(mask=lang.mask & 1 << k, descriptor=f"{lang.descriptor}&{{{k}}}")
+        p_sim = Program(p_last.family, ("probe", k), probe)
     return tally.finish(
         SIMULATED_MINCEGIS, p_last, converged,
-        sim_state=SimState(lce, p_sim, p_last, mu, tuple(backlog), tau_done),
+        sim_state=SimState(lce, p_sim, p_last, mu or 0, tuple(backlog), tau_done),
+        # Ended by the direct run's budget, it is classified as that run.
+        ruled_by=(direct, tau_done) if tau_done == direct_budget else None,
     )

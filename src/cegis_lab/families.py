@@ -15,7 +15,6 @@ from .core import (
     Ordering,
     pair_decode,
     pair_encode,
-    point_decode,
     zigzag_encode,
 )
 
@@ -87,7 +86,9 @@ class RectangleFamily:
 
     @staticmethod
     def ordering_key(code: int) -> tuple:
-        x, y = point_decode(code)
+        s = (isqrt(8 * code + 1) - 1) >> 1  # point_decode(code) inline: unpair
+        b = code - (s * (s + 1) >> 1)
+        x, y = (s - b >> 1) ^ -(s - b & 1), (b >> 1) ^ -(b & 1)  # and unzigzag
         return (x * x + y * y, x, y)
 
     def language(self, ax: int, bx: int, ay: int, by: int) -> Language:

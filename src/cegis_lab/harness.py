@@ -137,13 +137,10 @@ def theorem1_pair(
     )
     sim = simulate_min_via_arbitrary(
         target, trace, generalizer,
-        budget=sim_budget, stability_window=stability_window,
+        budget=sim_budget, stability_window=stability_window, direct_budget=direct_budget,
     )
-    equal = (
-        semantically_equal(direct.final.language, sim.final.language)
-        and direct.status == sim.status
-    )
-    return direct, sim, equal
+    equal = semantically_equal(direct.final.language, sim.final.language)
+    return direct, sim, equal and direct.status == sim.status
 
 
 def demo_theorem1() -> SeparationReport:

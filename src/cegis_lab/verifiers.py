@@ -63,14 +63,6 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _difference(candidate: Language, target: Language) -> int:
-    """The bitmask of candidate members not in the target.  ``c & t`` costs
-    the size of the smaller operand, where ``c & ~t`` costs the larger: a
-    singleton probe against a large target stays cheap."""
-    c = candidate.mask
-    return c ^ (c & target.mask)
-
-
 def _sound(candidate: Language, target: Language, e: int) -> int:
     assert candidate.contains(e) and not target.contains(e), (
         f"unsound counterexample {e} for {candidate.descriptor}"
@@ -82,13 +74,18 @@ def check(
     candidate: Language, target: Language, strategy: CexStrategy = CexStrategy()
 ) -> Optional[int]:
     """Arbitrary-counterexample subset query."""
-    diff = _difference(candidate, target)
+    # Each oracle's difference, candidate members not in the target: ``c & t``
+    # costs the size of the smaller operand, where ``c & ~t`` costs the larger,
+    # so a singleton probe against a large target stays cheap.
+    c = candidate.mask
+    diff = c ^ (c & target.mask)
     return _sound(candidate, target, strategy.select(diff)) if diff else None
 
 
 def mincheck(candidate: Language, target: Language) -> Optional[int]:
     """Minimal counterexample under the candidate's element ordering."""
-    diff = _difference(candidate, target)
+    c = candidate.mask
+    diff = c ^ (c & target.mask)
     if not diff:
         return None
     ordering = candidate.ordering
@@ -110,5 +107,6 @@ def hcheck(
     seen = smpl(history)
     if not seen:
         return None
-    least = _lowest(_difference(candidate, target))  # -1 for no difference
+    c = candidate.mask
+    least = _lowest(c ^ (c & target.mask))  # -1 for no difference
     return _sound(candidate, target, least) if 0 <= least < max(seen) else None

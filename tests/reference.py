@@ -1,7 +1,33 @@
 """Brute-force references the tests check the package against, kept out of
 ``src`` because nothing in the package reads them."""
 
-from cegis_lab.core import Language, bits, pair_decode, point_decode, zigzag_decode
+from typing import Optional
+
+from cegis_lab.core import (
+    Language,
+    Program,
+    Trace,
+    TraceEntry,
+    bits,
+    pair_decode,
+    point_decode,
+    zigzag_decode,
+)
+from cegis_lab.engines import (
+    SIMULATED_MINCEGIS,
+    _TOP,
+    EngineFaultError,
+    EngineRun,
+    Generalizer,
+    InconsistentOracleError,
+    IterationRecord,
+    LceMap,
+    SimState,
+    _iterate,
+    _new_tuple,
+    _Tally,
+)
+from cegis_lab.verifiers import CexStrategy, check
 
 
 def chain_template(family, i: int, n: int) -> int:
@@ -54,3 +80,115 @@ def ordering_key(language: Language):
 def lce_items(lce) -> list:
     """(member set, cached minimal counterexample) pairs of an LceMap."""
     return [(frozenset(bits(key)), value) for key, value in lce._entries.items()]
+
+
+def radial_key(code: int) -> tuple:
+    """The rectangle family's element ordering: radius squared, then x, then y."""
+    x, y = point_decode(code)
+    return (x * x + y * y, x, y)
+
+
+def simulate_by_index(
+    target: Language,
+    trace: Trace,
+    generalizer: Generalizer,
+    strategy: Optional[CexStrategy] = None,
+    budget: int = 10_000,
+    stability_window: int = 10,
+) -> EngineRun:
+    """The simulation as one micro-step per trace entry, each reading the
+    trace by index: the loop ``engines.simulate_min_via_arbitrary`` replaced
+    with one probe-sweep loop, kept to check that loop against."""
+    strategy = strategy or CexStrategy()
+    limit = min(budget, len(trace))
+    step = generalizer.step
+
+    base = generalizer.initial.language
+    order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
+
+    lce = LceMap()
+    p_last = generalizer.initial
+    # While a sweep runs, the singleton probe {order[mu]} & p_last; else None.
+    probe: Optional[Language] = None
+    mu = 0
+    backlog: list[TraceEntry] = []
+    tau_done = 0
+
+    tally = _Tally(target, stability_window)
+    # The simulated direct run: its streak and counterexample count, no queries.
+    direct = _Tally(target, stability_window)
+    since_progress = 0
+    converged = False
+
+    for m in range(1, limit + 1):
+        entry = trace[m - 1]
+        backlog.append(entry)
+        since_progress += 1
+        # Progress invariant: between extensions of the consumed prefix the
+        # simulation can spend at most one full probe sweep plus overhead.
+        if since_progress > len(order) + 2:
+            raise EngineFaultError("simulation stopped making progress")
+
+        if probe is None:
+            cex = check(p_last.language, target, strategy)
+            tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
+            if cex is None:  # Case 1.2
+                lce.set(p_last, None)
+            # Case 1.1.2 sweeps for the minimum; in Case 1.1.1 it is cached.
+            sweep = cex is not None and lce.get(p_last) is _TOP
+        else:
+            cex = check(probe, target, strategy)
+            tally.query(m, entry, probe.descriptor, cex, "probe")
+            sweep = cex is None
+            if sweep:  # Case 2.2
+                mu += 1
+                if mu >= len(order):
+                    raise InconsistentOracleError(
+                        "probe sweep exhausted the universe without a counterexample"
+                    )
+            else:  # Case 2.1: the probe's sole element is the minimal counterexample
+                lce.set(p_last, cex)
+                mu = 0  # also where the next sweep starts
+                probe = None
+        if sweep:
+            # The singleton probe {order[mu]} & p_last, built in place
+            k = order[mu]
+            lang = p_last.language
+            probe = _new_tuple(Language, (
+                lang.mask & 1 << k, lang.universe_bound,
+                f"{lang.descriptor}&{{{k}}}", lang.ordering,
+            ))
+            continue
+
+        # Replay the backlog as far as the cache allows, each entry as the next
+        # direct iteration with its cached minimal counterexample as verdict.
+        prog = p_last
+        consumed = 0
+        for e in backlog:
+            value = lce.get(prog)
+            if value is _TOP:
+                break
+            consumed += 1
+            direct.cex_count += value is not None
+            prog, converged = _iterate(direct, tau_done + consumed, e, prog, value, step, None)
+            if converged:
+                break
+        del backlog[:consumed]
+        tau_done += consumed
+        if consumed:
+            since_progress = 0
+        changed = prog.semantic_key() != p_last.semantic_key()
+        tally.settle(m, changed, cex)
+        # Logged always after a counterexample, else only on a change.
+        if cex is not None or changed:
+            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
+        p_last = prog
+        if converged:
+            break
+
+    # A run cut mid-sweep reports the pending probe as its simulated program.
+    p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
+    return tally.finish(
+        SIMULATED_MINCEGIS, p_last, converged,
+        sim_state=SimState(lce, p_sim, p_last, mu, tuple(backlog), tau_done),
+    )

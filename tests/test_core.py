@@ -1,6 +1,7 @@
 """Pairing, traces, and language plumbing."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +293,40 @@ def test_lazy_trace_matches_eager(language, schedule, seed, length, k):
     assert len(trace) == length
     fresh = trace_generate(language, schedule, seed=seed, length=length)
     assert tuple(fresh[i] for i in range(length)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(LANGUAGES, SCHEDULES, st.integers(0, 2**32), st.integers(0, 300),
+       st.integers(0, 300), st.integers(-1, 300))
+def test_trace_iteration_yields_the_entries(language, schedule, seed, length, taken, index):
+    """Iterating equals ``entries``, also when entries are read by index
+    between two steps of the iteration."""
+    expected = eager_trace(language, schedule, seed, length)
+    trace = trace_generate(language, schedule, seed=seed, length=length)
+    stream = iter(trace)
+    head = tuple(islice(stream, taken))
+    if 0 <= index < length:
+        assert trace[index] == expected[index]
+    assert head + tuple(stream) == expected == tuple(trace) == trace.entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(LANGUAGES, SCHEDULES, st.integers(0, 2**32), st.integers(0, 300), st.integers(0, 300))
+def test_trace_iteration_makes_no_block_past_the_last_entry_yielded(
+    language, schedule, seed, length, taken,
+):
+    trace = trace_generate(language, schedule, seed=seed, length=length)
+    sizes = []
+    blocks = trace._blocks
+    trace._blocks = (sizes.append(len(block)) or block for block in blocks)
+    head = tuple(islice(trace, taken))
+    assert head == eager_trace(language, schedule, seed, length)[:taken]
+    made = sum(sizes)
+    assert len(trace._made) == made
+    if head:  # the last block made holds the last entry yielded
+        assert made - sizes[-1] < len(head) <= made
+    else:
+        assert made == 0
 
 
 def test_lazy_trace_empty_language():

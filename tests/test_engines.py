@@ -42,7 +42,8 @@ from cegis_lab.engines import (
     simulate_min_via_arbitrary,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.harness import ReportRow, SeparationReport, convergence_verdict
+from cegis_lab.harness import ReportRow, SeparationReport, convergence_verdict, theorem1_pair
+from cegis_lab.logio import run_jsonl
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
     FIRST_FOUND,
@@ -51,7 +52,7 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
-from reference import lce_items, ordering_key
+from reference import lce_items, ordering_key, simulate_by_index
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +378,15 @@ def theorem1_targets(draw):
     return "gold", THEOREM1_GOLD.full_language() if i < 0 else THEOREM1_GOLD.minus_language(i)
 
 
-def _theorem1_runs(gen, target, kind, schedule, seed):
+def _theorem1_runs(gen, target, kind, schedule, seed, direct_budget=None):
     length = 40 * (target.universe_bound + 1)
     trace = trace_generate(target, schedule, seed=seed, length=length)
     window = default_stability_window(target)
-    direct = run_engine(MINCEGIS, target, trace, gen, budget=length, stability_window=window)
+    direct = run_engine(MINCEGIS, target, trace, gen, budget=direct_budget or length,
+                        stability_window=window)
     sim = simulate_min_via_arbitrary(
-        target, trace, gen, CexStrategy(kind, seed=seed), budget=length, stability_window=window
+        target, trace, gen, CexStrategy(kind, seed=seed), budget=length, stability_window=window,
+        direct_budget=direct_budget,
     )
     return direct, sim
 
@@ -394,19 +397,24 @@ def _theorem1_runs(gen, target, kind, schedule, seed):
     kind=st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX]),
     schedule=st.sampled_from(["canonical", "seeded-random", "padded-seeded"]),
     seed=st.sampled_from([1, 2]),
+    direct_budget=st.one_of(st.none(), st.integers(1, 40)),
 )
-def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed):
+def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed, direct_budget):
     """Theorem 1 as a property: driven only by the arbitrary oracle, the
-    simulation ends where direct MinCEGIS ends, with the same status; its
-    cache holds only true minimal counterexamples; and it never fires its
-    progress guard (an EngineFaultError would fail the test)."""
+    simulation ends where direct MinCEGIS ends, with the same status, also
+    where the direct run's budget cuts it short; its cache holds only true
+    minimal counterexamples; and it never fires its progress guard (an
+    EngineFaultError would fail the test)."""
     family, target = case
-    direct, sim = _theorem1_runs(THEOREM1_GENS[family], target, kind, schedule, seed)
+    direct, sim = _theorem1_runs(
+        THEOREM1_GENS[family], target, kind, schedule, seed, direct_budget
+    )
     assert semantically_equal(direct.final.language, sim.final.language)
     assert direct.status == sim.status
+    conjectures = sum(r.event == "conjecture" for r in direct.iterations)
+    assert sim.sim_state.tau_done_len <= conjectures
     if direct.status == CONVERGED:
         # The replay read exactly the entries the direct run read.
-        conjectures = sum(r.event == "conjecture" for r in direct.iterations)
         assert sim.sim_state.tau_done_len == conjectures
     for member_set, value in lce_items(sim.sim_state.lce):
         lang = target._replace(mask=sum(1 << m for m in member_set), descriptor="cached")
@@ -423,6 +431,54 @@ def test_theorem1_simulation_stops_where_direct_mincegis_stops():
     assert semantically_equal(direct.final.language, sim.final.language)
     assert direct.status == sim.status == CONVERGED and not sim.semantic_match
     assert sim.sim_state.tau_done_len == len(direct.iterations) == 23
+
+
+def test_theorem1_pair_simulation_stops_at_the_direct_budget():
+    # With no bound of its own, the simulation replayed past the direct run's
+    # budget: at every budget from 1 to 21 it reported converged after 22
+    # entries, where the direct run stopped short of the target.
+    fam = ChainFamily()
+    target, gen = fam.language(20), chain_generalizer(fam)
+    trace = trace_generate(target, "padded-seeded", seed=11, length=600)
+    wrong = []
+    for direct_budget in range(1, 31):
+        direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, 600)
+        if not equal or sim.sim_state.tau_done_len > direct_budget:
+            wrong.append((direct_budget, direct.status, sim.status, sim.sim_state.tau_done_len))
+    assert wrong == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=theorem1_targets(),
+    kind=st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX]),
+    schedule=st.sampled_from(["canonical", "seeded-random", "padded-seeded"]),
+    seed=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_the_sweep_loop_equals_the_micro_step_loop(case, kind, schedule, seed, data):
+    """The simulation's probe-sweep loop against the one-entry-per-step loop
+    it replaced, at budgets that cut runs short, many of them mid-sweep."""
+    family, target = case
+    gen = THEOREM1_GENS[family]
+    length = 40 * (target.universe_bound + 1)
+    trace = trace_generate(target, schedule, seed=seed, length=length)
+    window = default_stability_window(target)
+    strategy = CexStrategy(kind, seed=seed)
+    full = simulate_by_index(target, trace, gen, strategy, budget=length, stability_window=window)
+    read = sum(r.event != "replay" for r in full.iterations)
+    budget = data.draw(st.one_of(st.integers(1, read), st.integers(1, length)), label="budget")
+    ref = simulate_by_index(target, trace, gen, strategy, budget=budget, stability_window=window)
+    new = simulate_min_via_arbitrary(
+        target, trace, gen, strategy, budget=budget, stability_window=window
+    )
+    assert run_jsonl(new) == run_jsonl(ref)
+    assert (new.queries, new.probes, new.cex_count, new.status) == (
+        ref.queries, ref.probes, ref.cex_count, ref.status)
+    assert new.final.descriptor() == ref.final.descriptor()
+    state, expected = new.sim_state, ref.sim_state
+    assert (state.mu, state.backlog, state.tau_done_len, state.p_sim.descriptor()) == (
+        expected.mu, expected.backlog, expected.tau_done_len, expected.p_sim.descriptor())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,13 @@ from cegis_lab.families import (
     InvalidRectangleError,
     RectangleFamily,
 )
-from reference import chain_template, diag_template, gold_template, rectangle_template
+from reference import (
+    chain_template,
+    diag_template,
+    gold_template,
+    radial_key,
+    rectangle_template,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +163,18 @@ def test_rectangle_radial_ordering():
     # Among the radius-4 points, (-2, 0) comes first under the tie-break.
     ring = [point_encode(p, q) for p, q in ((0, 2), (0, -2), (2, 0), (-2, 0))]
     assert min(ring, key=fam.ordering_key) == point_encode(-2, 0)
+
+
+def test_grid32_order_and_blocks_equal_the_point_decode_reference():
+    fam = RectangleFamily()
+    ordering = fam.universal_language().ordering
+    universe = range(fam.universe_bound + 1)
+    assert [fam.ordering_key(c) for c in universe] == [radial_key(c) for c in universe]
+    order = tuple(sorted(universe, key=radial_key))
+    assert ordering.order == order
+    assert ordering._blocks == [
+        (sum(1 << e for e in order[s:s + 64]), order[s:s + 64]) for s in range(0, len(order), 64)
+    ]
 
 
 def test_rectangle_invalid_bounds():
