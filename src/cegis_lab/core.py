@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # The padding symbol in traces.  A trace entry is either a natural number
@@ -152,43 +151,21 @@ def semantically_equal(a: Language, b: Language) -> bool:
     return a.mask == b.mask
 
 
-def explicit_language(
-    members: Iterable[int],
-    universe_bound: int,
-    descriptor: Optional[str] = None,
-) -> Language:
-    """The language of the given members; those outside [0, universe_bound]
-    are dropped."""
-    ms = {m for m in members if 0 <= m <= universe_bound}
-    if descriptor is None:
-        descriptor = "set{" + ",".join(str(m) for m in sorted(ms)) + "}"
-    return Language(sum(1 << m for m in ms), universe_bound, descriptor)
-
-
 class Trace:
     """A finite prefix of a presentation of positive examples.
 
     ``Trace(entries)`` holds the given entries.  A trace from
     ``trace_generate`` makes its entries on demand, one block at a time
-    from the schedule's RNG stream, so reading entry i costs only the
-    entries up to i, and every prefix equals the one made eagerly.
-    Iterating (``entries`` and ``prefix`` do) yields the entries in order;
-    stopped after entry i, it has made no block past the one holding i.
-    ``len`` is the requested length and makes nothing.
+    from the schedule's RNG stream, and every prefix equals the one made
+    eagerly.  The entries are read in order, by iterating (``entries``
+    does); stopped after entry i, an iteration has made no block past the
+    one holding i.  ``len`` is the requested length and makes nothing.
     """
 
     def __init__(self, entries: Iterable[TraceEntry] = ()):
         self._made: list[TraceEntry] = list(entries)
         self._length = len(self._made)
         self._blocks: Iterator[list[TraceEntry]] = iter(())
-
-    def __getitem__(self, i: int) -> TraceEntry:
-        if not 0 <= i < self._length:
-            raise IndexError(f"trace index {i} outside [0, {self._length})")
-        made = self._made
-        while len(made) <= i:
-            made.extend(next(self._blocks))
-        return made[i]
 
     def __iter__(self) -> Iterator[TraceEntry]:
         made, length, i = self._made, self._length, 0
@@ -203,9 +180,6 @@ class Trace:
     def entries(self) -> tuple[TraceEntry, ...]:
         return tuple(self)
 
-    def prefix(self, k: int) -> tuple[TraceEntry, ...]:
-        return tuple(islice(self, len(range(self._length)[:k])))
-
     def __len__(self) -> int:
         return self._length
 
@@ -218,8 +192,8 @@ def smpl(entries: Iterable[TraceEntry]) -> frozenset:
 class Program(NamedTuple):
     """An index into a candidate space plus bounded engine-owned state.
 
-    Two programs are semantically equal iff their languages agree on the
-    universe (``semantic_key``); ``aux`` never participates in identity.
+    Two programs are semantically equal iff their language masks agree;
+    ``aux`` never participates in identity.
     """
 
     family: str
@@ -229,9 +203,6 @@ class Program(NamedTuple):
 
     def descriptor(self) -> str:
         return self.language.descriptor
-
-    def semantic_key(self) -> int:
-        return self.language.mask
 
 
 CANONICAL = "canonical"

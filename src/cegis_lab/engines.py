@@ -18,7 +18,6 @@ from .core import (
     Program,
     Trace,
     TraceEntry,
-    explicit_language,
     pair_decode,
     semantically_equal,
 )
@@ -48,6 +47,10 @@ class InconsistentOracleError(RuntimeError):
 
 class ProbeOverflowError(RuntimeError):
     """Auxiliary probe budget exhausted."""
+
+
+# The most probes one HCEGIS run may ask; read when a probe runs.
+PROBE_CAP = 100_000
 
 
 ProbeFn = Callable[[Language], Optional[int]]
@@ -175,7 +178,6 @@ def run_engine(
     strategy: Optional[CexStrategy] = None,
     budget: int = 100,
     stability_window: int = 10,
-    probe_cap: int = 100_000,
 ) -> EngineRun:
     """Execute the recursion for up to ``budget`` steps.
 
@@ -201,8 +203,8 @@ def run_engine(
         # Called only from the step, after this iteration's history update.
         nonlocal probes
         probes += 1
-        if probes > probe_cap:
-            raise ProbeOverflowError(f"more than {probe_cap} probes")
+        if probes > PROBE_CAP:
+            raise ProbeOverflowError(f"more than {PROBE_CAP} probes")
         return hcheck(lang, target, history)
 
     probe = hprobe if variant == HCEGIS else None
@@ -294,31 +296,23 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
 
     def shrink(bounds, hull, xc: int, yc: int):
         ax, bx, ay, by = bounds
-        axes = [("x", xc), ("y", yc)]
-        if abs(yc) > abs(xc):
-            axes.reverse()
-        for axis, c in axes:
-            lo, hi = (ax, bx) if axis == "x" else (ay, by)
-            span = None
-            if hull is not None:
-                span = (hull[0], hull[1]) if axis == "x" else (hull[2], hull[3])
-            if span is None:
-                sides = ["upper", "lower"] if c >= 0 else ["lower", "upper"]
-            elif c > span[1]:
-                sides = ["upper"]
-            elif c < span[0]:
-                sides = ["lower"]
+        # a is the axis's offset into the (ax, bx, ay, by) bounds and hull
+        for a, c in ((2, yc), (0, xc)) if abs(yc) > abs(xc) else ((0, xc), (2, yc)):
+            upper, lower = (bounds[a], c - 1), (c + 1, bounds[a + 1])
+            if hull is None:
+                sides = (upper, lower) if c >= 0 else (lower, upper)
+            elif c > hull[a + 1]:
+                sides = (upper,)
+            elif c < hull[a]:
+                sides = (lower,)
             else:
                 continue
-            for side in sides:
-                nlo, nhi = (lo, c - 1) if side == "upper" else (c + 1, hi)
+            for nlo, nhi in sides:
                 if nlo > nhi:
                     continue
-                if span is not None and not (nlo <= span[0] and span[1] <= nhi):
+                if hull is not None and not (nlo <= hull[a] and hull[a + 1] <= nhi):
                     continue
-                if axis == "x":
-                    return (nlo, nhi, ay, by)
-                return (ax, bx, nlo, nhi)
+                return (nlo, nhi, ay, by) if a == 0 else (ax, bx, nlo, nhi)
         raise InconsistentOracleError(
             f"counterexample ({xc},{yc}) inside the positive hull {hull}"
         )
@@ -366,19 +360,20 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
     """
     bound = family.universe_bound
 
+    # Each member and probe below is at most x_max, a trace entry of a target
+    # in this family, so every mask built here lies within [0, bound].
     def recset_program(aux: DiagAux) -> Program:
-        members = frozenset(aux.recovered) | {aux.x_max}
-        label = ",".join(str(m) for m in sorted(members))
-        lang = explicit_language(members, bound, f"recset[{label}]")
-        return Program("diagonal", ("recset", tuple(sorted(members))), lang, aux)
+        members = sorted(aux.recovered | {aux.x_max})
+        label = ",".join(map(str, members))
+        lang = Language(sum(1 << m for m in members), bound, f"recset[{label}]")
+        return Program("diagonal", ("recset", tuple(members)), lang, aux)
 
     def reconstruct(x_max: int, probe: Optional[ProbeFn]) -> frozenset:
         if probe is None:
             return frozenset()
         found = []
         for x in range(x_max):
-            lang = explicit_language({x}, bound, f"probe[{x}]")
-            if probe(lang) is None:
+            if probe(Language(1 << x, bound, f"probe[{x}]")) is None:
                 found.append(x)
         return frozenset(found)
 
@@ -395,12 +390,7 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
             return prev
         return recset_program(DiagAux(None, entry, reconstruct(entry, probe)))
 
-    initial = Program(
-        "diagonal",
-        ("diag", "init"),
-        explicit_language((), bound, "diag[init]"),
-        DiagAux(),
-    )
+    initial = Program("diagonal", ("diag", "init"), Language(0, bound, "diag[init]"), DiagAux())
     return Generalizer(initial, step)
 
 
@@ -430,19 +420,19 @@ _TOP = "top"
 class LceMap:
     """Finite cache from programs to their minimal counterexamples.
 
-    Keys are semantic (member bitmasks): syntactically different programs
-    for the same language share one entry.  Absent key = unknown (top); a
-    stored None = no counterexample exists.
+    Keys are the languages' member bitmasks: syntactically different
+    programs for the same language share one entry.  Absent key = unknown
+    (top); a stored None = no counterexample exists.
     """
 
     def __init__(self):
         self._entries: dict[int, Optional[int]] = {}
 
     def get(self, program: Program):
-        return self._entries.get(program.semantic_key(), _TOP)
+        return self._entries.get(program.language.mask, _TOP)
 
     def set(self, program: Program, value: Optional[int]) -> None:
-        self._entries[program.semantic_key()] = value
+        self._entries[program.language.mask] = value
 
     def __len__(self) -> int:
         return len(self._entries)

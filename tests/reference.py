@@ -1,7 +1,7 @@
 """Brute-force references the tests check the package against, kept out of
 ``src`` because nothing in the package reads them."""
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from cegis_lab.core import (
     Language,
@@ -62,6 +62,19 @@ def gold_template(family, i: int, n: int) -> int:
     return 0 if n == i - 1 else 1
 
 
+def explicit_language(
+    members: Iterable[int],
+    universe_bound: int,
+    descriptor: Optional[str] = None,
+) -> Language:
+    """The language of the given members; those outside [0, universe_bound]
+    are dropped."""
+    ms = {m for m in members if 0 <= m <= universe_bound}
+    if descriptor is None:
+        descriptor = "set{" + ",".join(str(m) for m in sorted(ms)) + "}"
+    return Language(sum(1 << m for m in ms), universe_bound, descriptor)
+
+
 def intersect_singleton(language: Language, k: int) -> Language:
     """The language's members that equal k, labelled as the simulation labels
     its probes."""
@@ -88,6 +101,41 @@ def radial_key(code: int) -> tuple:
     return (x * x + y * y, x, y)
 
 
+def rectangle_shrink(bounds, hull, xc: int, yc: int):
+    """The rectangle learner's bound shrink on a counterexample (xc, yc),
+    searching the axes and sides by name: the bounds after it, or
+    InconsistentOracleError when no bound can exclude the point."""
+    ax, bx, ay, by = bounds
+    axes = [("x", xc), ("y", yc)]
+    if abs(yc) > abs(xc):
+        axes.reverse()
+    for axis, c in axes:
+        lo, hi = (ax, bx) if axis == "x" else (ay, by)
+        span = None
+        if hull is not None:
+            span = (hull[0], hull[1]) if axis == "x" else (hull[2], hull[3])
+        if span is None:
+            sides = ["upper", "lower"] if c >= 0 else ["lower", "upper"]
+        elif c > span[1]:
+            sides = ["upper"]
+        elif c < span[0]:
+            sides = ["lower"]
+        else:
+            continue
+        for side in sides:
+            nlo, nhi = (lo, c - 1) if side == "upper" else (c + 1, hi)
+            if nlo > nhi:
+                continue
+            if span is not None and not (nlo <= span[0] and span[1] <= nhi):
+                continue
+            if axis == "x":
+                return (nlo, nhi, ay, by)
+            return (ax, bx, nlo, nhi)
+    raise InconsistentOracleError(
+        f"counterexample ({xc},{yc}) inside the positive hull {hull}"
+    )
+
+
 def simulate_by_index(
     target: Language,
     trace: Trace,
@@ -96,9 +144,9 @@ def simulate_by_index(
     budget: int = 10_000,
     stability_window: int = 10,
 ) -> EngineRun:
-    """The simulation as one micro-step per trace entry, each reading the
-    trace by index: the loop ``engines.simulate_min_via_arbitrary`` replaced
-    with one probe-sweep loop, kept to check that loop against."""
+    """The simulation as one micro-step per trace entry: the loop
+    ``engines.simulate_min_via_arbitrary`` replaced with one probe-sweep
+    loop, kept to check that loop against."""
     strategy = strategy or CexStrategy()
     limit = min(budget, len(trace))
     step = generalizer.step
@@ -120,8 +168,7 @@ def simulate_by_index(
     since_progress = 0
     converged = False
 
-    for m in range(1, limit + 1):
-        entry = trace[m - 1]
+    for m, entry in zip(range(1, limit + 1), trace):
         backlog.append(entry)
         since_progress += 1
         # Progress invariant: between extensions of the consumed prefix the
@@ -177,7 +224,7 @@ def simulate_by_index(
         tau_done += consumed
         if consumed:
             since_progress = 0
-        changed = prog.semantic_key() != p_last.semantic_key()
+        changed = prog.language.mask != p_last.language.mask
         tally.settle(m, changed, cex)
         # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:

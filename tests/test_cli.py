@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cegis_lab
+from cegis_lab import engines
 from cegis_lab.cli import main
 
 
@@ -101,6 +102,14 @@ def test_run_config_file(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 0
 
 
+def test_config_comments_and_blank_lines_are_skipped(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a chain run\n\nfamily = chain\n   \n  # target below\ntarget = 5\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    golden = (GOLDEN_DIR / "chain-cegis-5.jsonl").read_bytes()
+    assert (tmp_path / "chain-cegis-5.jsonl").read_bytes() == golden
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CEGIS_LAB_LOG_DIR", str(tmp_path / "logs"))
     assert run_cli("run", "--family", "chain", "--target", "5",
@@ -164,6 +173,32 @@ def test_table_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("| family |")
     assert "Conclusion" in out
+
+
+def test_table_renders_a_run_summary(tmp_path, capsys):
+    assert run_cli(*chain5_args(tmp_path)) == 0
+    capsys.readouterr()
+    assert run_cli("table", str(tmp_path / "chain-cegis-5.summary.json")) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "| field | value |\n|---|---|\n| converged_at | 7 |\n| counterexamples | 1 |\n"
+        "| final | chain[5] |\n| iterations | 8 |\n| probes | 0 |\n| queries | 7 |\n"
+        "| semantic_match | True |\n| verdict | converged |\n"
+    )
+    assert captured.err == ""
+
+
+def test_simulation_sweep_that_never_refutes_exits_1(tmp_path, capsys, monkeypatch):
+    # A verifier that refutes conjectures but never a singleton probe: the
+    # first sweep walks the whole universe and the engine reports it.
+    real = engines.check
+    monkeypatch.setattr(engines, "check", lambda c, t, s: None if "&{" in c.descriptor
+                        else real(c, t, s))
+    code = run_cli("run", "--family", "gold", "--universe-bound", "8", "--target", "minus:3",
+                   "--engine", "simulated-mincegis", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: probe sweep exhausted the universe without a counterexample\n"
 
 
 def test_summary_queries_recomputable_from_log(tmp_path):
@@ -234,6 +269,14 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("run", "--family", "diagonal", "--target", "diag:3", "--universe-bound", "99999999999999"),
     ("run", "--family", "gold", "--universe-bound", "1048577", "--target", "full"),
     ("run", "--family", "diagonal", "--universe-bound", "1048577", "--target", "diag:3"),
+    # Targets that name no member of the family.
+    ("run", "--family", "diagonal", "--target", "foo"),
+    ("run", "--family", "gold", "--target", "foo"),
+    ("run", "--family", "diagonal", "--target", "fin:[]"),
+    ("run", "--family", "diagonal", "--target", "fin:[[1,40]]"),
+    ("run", "--family", "diagonal", "--target", "diag:40"),
+    # A config line that is not key = value.
+    ("run", "--config", "{tmp}/no-equals.cfg"),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
@@ -244,6 +287,7 @@ def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "out.cfg").write_text(f"family = chain\ntarget = 5\nout = {tmp_path}/cfg-out\n")
     (tmp_path / "generalizer.cfg").write_text("family = chain\ntarget = 5\ngeneralizer = chain\n")
     (tmp_path / "low-bound.cfg").write_text("family = chain\ntarget = 0\nuniverse_bound = -1\n")
+    (tmp_path / "no-equals.cfg").write_text("family = chain\ntarget 5\n")
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == 1

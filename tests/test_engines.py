@@ -1,6 +1,7 @@
 """Engine variants, generalizers, and the minimal-counterexample simulation."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,6 @@ from cegis_lab import engines
 from cegis_lab.core import (
     BOT,
     Program,
-    explicit_language,
     pair_encode,
     point_encode,
     semantically_equal,
@@ -42,7 +42,9 @@ from cegis_lab.engines import (
     simulate_min_via_arbitrary,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from cegis_lab.harness import ReportRow, SeparationReport, convergence_verdict, theorem1_pair
+from cegis_lab.harness import (
+    ReportRow, SeparationReport, convergence_verdict, indistinguishability_demo, theorem1_pair,
+)
 from cegis_lab.logio import run_jsonl
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
@@ -52,7 +54,9 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
-from reference import lce_items, ordering_key, simulate_by_index
+from reference import (
+    explicit_language, lce_items, ordering_key, rectangle_shrink, simulate_by_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,34 @@ def test_rectangle_cex_inside_hull_is_inconsistent():
         gen.step(prog, BOT, point_encode(0, 0))
 
 
+_GRID4 = RectangleFamily(grid_bound=4)
+_COORD = st.integers(-4, 4)
+_SPAN = st.tuples(_COORD, _COORD).map(sorted)  # one wide when both ends meet
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), xs=_SPAN, ys=_SPAN, hull=st.none() | st.tuples(_SPAN, _SPAN))
+def test_rectangle_shrink_equals_the_axis_name_reference(data, xs, ys, hull):
+    """A counterexample moves the bounds as the reference shrink does, or
+    neither finds a bound to move: also with no hull, on one-wide strips,
+    and with a hull the bounds do not contain."""
+    bounds = (*xs, *ys)
+    hull = None if hull is None else (*hull[0], *hull[1])
+    # A counterexample is a member of the conjecture: a point in the bounds.
+    point = data.draw(st.tuples(st.integers(*xs), st.integers(*ys)))
+    prev = Program("rectangle", bounds, _GRID4.language(*bounds), RectAux(hull))
+    step = rectangle_generalizer(_GRID4).step
+    try:
+        expected = rectangle_shrink(bounds, hull, *point)
+    except InconsistentOracleError as exc:
+        with pytest.raises(InconsistentOracleError, match=re.escape(str(exc))):
+            step(prev, BOT, point_encode(*point))
+    else:
+        after = step(prev, BOT, point_encode(*point))
+        assert after.index == expected and after.aux.hull == hull
+        assert after.language == _GRID4.language(*expected)
+
+
 # ---------------------------------------------------------------------------
 # Gold generalizer
 
@@ -149,7 +181,7 @@ def test_generalizer_purity(maker, family):
         entry = rng.choice(members) if members and rng.random() < 0.8 else BOT
         first = gen.step(prog, entry, None)
         second = gen.step(prog, entry, None)
-        assert first.semantic_key() == second.semantic_key()
+        assert first.language.mask == second.language.mask
         assert first.aux == second.aux
         prog = first
         members = sorted(prog.language.members())
@@ -482,7 +514,7 @@ def test_the_sweep_loop_equals_the_micro_step_loop(case, kind, schedule, seed, d
 
 
 # ---------------------------------------------------------------------------
-# Lemma 1 and Gold's observation as properties
+# Lemmas 1 and 2 and Gold's observation as properties
 
 
 SCHEDULES = st.sampled_from(["canonical", "seeded-random", "padded-seeded"])
@@ -534,6 +566,56 @@ def test_gold_one_counterexample_pins_the_target_and_positives_never_do(
     assert positive.status == (CONVERGED if k < 0 else STALLED)
 
 
+_DIAG = DiagonalFamily()
+_BASE = st.integers(0, _DIAG.base_max)  # n of a <0, n> code within the bound
+_Z1 = st.integers(0, 32)  # <1, 32> = 593 is the largest <1, n> code within it
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), fin=st.booleans(), schedule=st.sampled_from(["canonical", "padded-seeded"]),
+       seed=st.integers(0, 2**16))
+def test_lemma2_hcegis_identifies_fin_and_diag_targets(data, fin, schedule, seed):
+    """Lemma 2, positive direction: the history-bounded engine identifies
+    every member of the diagonal family, its probes recovering each code
+    below the largest one seen.  Within a pass of these schedules every
+    member is seen before a stability window of unrefuted steps ends."""
+    if fin:
+        pairs = data.draw(st.frozensets(st.tuples(st.integers(0, 1), _Z1), max_size=7))
+        target = _DIAG.fin_language(pairs | {(1, data.draw(_Z1))})
+    else:
+        target = _DIAG.diag_language(data.draw(_BASE))
+    run = _default_run(HCEGIS, target, diag_generalizer(_DIAG), schedule, seed)
+    assert run.status == CONVERGED and run.semantic_match
+    assert run.final.language.mask == target.mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), z1=_Z1, z2=_BASE, start=st.none() | _BASE)
+def test_lemma2_arbitrary_counterexamples_cannot_tell_a_pair_apart(data, z1, z2, start):
+    """Lemma 2, negative direction: against the targets base + <1, z1> and
+    base + <0, z2> + <1, z1>, a verifier that never names <0, z2> gives the
+    CEGIS engine byte-identical logs, so at least one final is wrong.  It
+    has nothing to name, and the demo reports ``skipped``, exactly when a
+    conjecture diag(m), m the least base entry seen, differs from the
+    first target at <0, z2> alone.  (With an empty base the first target's
+    run, never refuted, stops once its conjecture is right and the other
+    runs on, so the base has at least one entry.)"""
+    others = [n for n in range(_DIAG.base_max + 1) if n != z2]
+    if start is None:
+        base = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    else:  # every n >= start but z2: skipped if start <= z2, else never refuted
+        base = data.draw(st.permutations([n for n in others if n >= start]))
+        assume(base)
+    out = indistinguishability_demo([pair_encode(0, n) for n in base], z1, z2)
+    seen = base[:40]  # the default budget reads at most 40 entries
+    lone = any(set(range(low, _DIAG.base_max + 1)) - set(base) == {z2}
+               for low in {min(seen[:i]) for i in range(1, len(seen) + 1)})
+    assert ("skipped" in out) == lone
+    if not lone:
+        assert out["logs_identical"] and out["mismatched"] >= 1
+        assert out["targets_differ_at"] == pair_encode(0, z2)
+
+
 def test_value_types_are_immutable():
     lang = explicit_language({1, 2}, 5)
     target = ChainFamily().language(2)
@@ -571,6 +653,7 @@ def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
     # Seed 4 gives counterexamples whose history maximum is not the
     # latest entry, under both schedules.
     trace = trace_generate(target, schedule, seed=4, length=80)
+    entries = trace.entries
     inner = diag_generalizer(fam)
     steps = []
 
@@ -580,7 +663,7 @@ def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
 
         def full_history_probe(lang):
             answer = probe(lang)
-            assert answer == hcheck(lang, target, trace.prefix(i))
+            assert answer == hcheck(lang, target, entries[:i])
             return answer
 
         return inner.step(prev, entry, cex, full_history_probe)
@@ -588,7 +671,7 @@ def test_hcegis_verdicts_equal_full_history_verdicts(schedule):
     run = run_engine(HCEGIS, target, trace, replace(inner, step=step), budget=80)
     assert run.probes > 0 and any(cex is not None for _, cex in steps)
     for i, (prev, cex) in enumerate(steps, 1):
-        assert cex == hcheck(prev.language, target, trace.prefix(i - 1))
+        assert cex == hcheck(prev.language, target, entries[:i - 1])
 
 
 def test_probe_order_is_the_family_ordering():
@@ -662,13 +745,15 @@ def test_the_simulation_asks_the_module_level_check(monkeypatch, variant, oracle
     assert len(calls) == run.queries + run.probes
 
 
-def test_probe_cap_overflow_on_diagonal_hcegis():
+def test_probe_cap_overflow_on_diagonal_hcegis(monkeypatch):
     fam = DiagonalFamily()
     target = fam.fin_language({(0, 2), (1, 5)})
     trace = trace_generate(target, "canonical", length=20)
     gen = diag_generalizer(fam)
     # The <1, 5> entry (code 26) makes the learner probe every code below it.
-    run = run_engine(HCEGIS, target, trace, gen, budget=20, probe_cap=26)
+    monkeypatch.setattr(engines, "PROBE_CAP", 26)
+    run = run_engine(HCEGIS, target, trace, gen, budget=20)
     assert run.probes == 26 and run.semantic_match
-    with pytest.raises(ProbeOverflowError):
-        run_engine(HCEGIS, target, trace, gen, budget=20, probe_cap=25)
+    monkeypatch.setattr(engines, "PROBE_CAP", 25)
+    with pytest.raises(ProbeOverflowError, match="more than 25 probes"):
+        run_engine(HCEGIS, target, trace, gen, budget=20)

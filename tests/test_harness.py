@@ -193,6 +193,26 @@ def test_indistinguishability_budget_zero():
     assert report["logs_identical"]
 
 
+def test_indistinguishability_rejects_z2_in_the_base_prefix():
+    with pytest.raises(ValueError, match="z2 must not occur in the base prefix"):
+        indistinguishability_demo((pair_encode(0, 4), pair_encode(0, 9)), 7, 9)
+
+
+def test_indistinguishability_skips_a_pair_the_verifier_cannot_refute():
+    # Every <0, n> up to base_max but z2: diag[0] differs from the first
+    # target at <0, 9> alone, the one code the verifier may not name.
+    fam = DiagonalFamily()
+    base = [n for n in range(fam.base_max + 1) if n != 9]
+    report = indistinguishability_demo([pair_encode(0, n) for n in base], 7, 9)
+    pairs = {(0, n) for n in base} | {(1, 7)}
+    assert report == {
+        "pair": f"{fam.fin_language(pairs).descriptor} / "
+                f"{fam.fin_language(pairs | {(0, 9)}).descriptor}",
+        "logs_identical": False, "mismatched": 0,
+        "skipped": "every counterexample is in the avoid set",
+    }
+
+
 def test_demo_gold():
     report = demo_gold()
     assert report.passed

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cegis_lab.core import (
     BOT,
     Program,
-    explicit_language,
     pair_encode,
     point_decode,
     point_encode,
     semantically_equal,
     smpl,
 )
+from cegis_lab.engines import LceMap
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from cegis_lab.verifiers import (
     ADVERSARIAL_MAX,
@@ -28,7 +28,7 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
-from reference import intersect_singleton, ordering_key
+from reference import explicit_language, intersect_singleton, ordering_key
 
 
 def brute_difference(candidate, target):
@@ -321,6 +321,8 @@ def test_bitmask_oracles_equal_frozenset_brute_force(data):
 
     k = data.draw(st.integers(0, bound))
     assert intersect_singleton(candidate, k).members() == cand_ref & {k}
-    keys = [Program(name, None, lang).semantic_key() for lang in (candidate, target)]
-    assert (keys[0] == keys[1]) == (cand_ref == tgt_ref)
+    # The simulation's cache keys a program on its language's members.
+    lce = LceMap()
+    lce.set(Program(name, None, candidate), k)
+    assert (lce.get(Program(name, None, target)) == k) == (cand_ref == tgt_ref)
     assert semantically_equal(candidate, target) == (cand_ref == tgt_ref)
