@@ -222,7 +222,22 @@ def test_trace_of_given_entries():
     t = Trace((0, 1, BOT, 2))
     assert len(t) == 4
     assert list(t) == [0, 1, BOT, 2] and t.entries == (0, 1, BOT, 2)
-    assert tuple(islice(t, 2)) == (0, 1) and tuple(islice(t, 0)) == ()
+
+
+def test_trace_prefix():
+    t = Trace((0, 1, BOT, 2))
+    assert tuple(islice(t, 2)) == (0, 1)
+    assert tuple(islice(t, 0)) == ()
+    assert tuple(islice(t, 9)) == (0, 1, BOT, 2)
+
+
+def test_trace_indexing():
+    """Entries are read in order; there is none past the last."""
+    t = Trace((0, 1, BOT, 2))
+    stream = iter(t)
+    assert [next(stream) for _ in range(len(t))] == [0, 1, BOT, 2]
+    with pytest.raises(StopIteration):
+        next(stream)
 
 
 # ---------------------------------------------------------------------------
