@@ -217,12 +217,10 @@ def cmd_demo(args) -> int:
         if args.name == "theorem1":
             raise ConfigError("demo theorem1 takes no --budget")
         kwargs["budget"] = _check_budget(args.budget)
-    if args.name == "lemma1":
-        i_max, budget = kwargs.get("i_max", 20), kwargs.get("budget", 100)
-        if budget < i_max + 2:
-            raise ConfigError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
-                              f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
-    report = harness.DEMOS[args.name](**kwargs)
+    try:
+        report = harness.DEMOS[args.name](**kwargs)
+    except ValueError as exc:  # a lemma1 budget below Lemma 1's query count
+        raise ConfigError(str(exc)) from exc
 
     out = _out_dir(args.out)
     (out / f"demo-{args.name}.md").write_text(report.to_markdown())

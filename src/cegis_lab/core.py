@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 # The padding symbol in traces.  A trace entry is either a natural number
@@ -152,29 +153,24 @@ def semantically_equal(a: Language, b: Language) -> bool:
 
 
 class Trace:
-    """A finite prefix of a presentation of positive examples.
+    """A finite prefix of a presentation of positive examples: a length and
+    a recipe for its entries, replayed on every iteration.
 
     ``Trace(entries)`` holds the given entries.  A trace from
-    ``trace_generate`` makes its entries on demand, one block at a time
-    from the schedule's RNG stream, and every prefix equals the one made
-    eagerly.  The entries are read in order, by iterating (``entries``
-    does); stopped after entry i, an iteration has made no block past the
-    one holding i.  ``len`` is the requested length and makes nothing.
+    ``trace_generate`` makes its blocks from a fresh RNG on each iteration,
+    one at a time as they are read, so every iteration gives the eager
+    entries; nothing is memoized, and reading a trace does not change it.
+    Stopped after entry i, an iteration has made no block past the one
+    holding i.  ``len`` is the requested length and makes nothing.
     """
 
     def __init__(self, entries: Iterable[TraceEntry] = ()):
-        self._made: list[TraceEntry] = list(entries)
-        self._length = len(self._made)
-        self._blocks: Iterator[list[TraceEntry]] = iter(())
+        entries = tuple(entries)
+        self._length = len(entries)
+        self._blocks: Callable[[], Iterable[Iterable[TraceEntry]]] = lambda: (entries,)
 
     def __iter__(self) -> Iterator[TraceEntry]:
-        made, length, i = self._made, self._length, 0
-        while i < length:
-            if i == len(made):
-                made.extend(next(self._blocks))
-            end = min(len(made), length)
-            yield from made[i:end]
-            i = end
+        return islice(chain.from_iterable(self._blocks()), self._length)
 
     @property
     def entries(self) -> tuple[TraceEntry, ...]:
@@ -227,11 +223,13 @@ def trace_generate(
     recurs within a computable horizon.
 
     Bad arguments raise here; the entries are made as they are read (see
-    ``Trace``), in the RNG order of an eager pass, so every prefix is the
-    same as that pass would give.
+    ``Trace``), each iteration from a fresh RNG in the order of an eager
+    pass, so every prefix is the same as that pass would give.
     """
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule: {schedule}")
+    if length < 0:
+        raise ValueError(f"trace length must be nonnegative, got {length}")
     if length == 0:
         return Trace()
     members = bits(language.mask)
@@ -240,8 +238,8 @@ def trace_generate(
             f"canonical schedule needs a nonempty language: {language.descriptor}"
         )
     trace = Trace()
-    trace._length = max(length, 0)
-    trace._blocks = _blocks(schedule, members, random.Random(seed))
+    trace._length = length
+    trace._blocks = lambda: _blocks(schedule, members, random.Random(seed))
     return trace
 
 

@@ -81,14 +81,12 @@ _new_tuple = tuple.__new__
 class SimState(NamedTuple):
     lce: "LceMap"
     p_sim: Program
-    p_last: Program
     mu: int
     backlog: tuple
     tau_done_len: int
 
 
 class EngineRun(NamedTuple):
-    variant: str
     iterations: list[IterationRecord]
     final: Program
     status: str
@@ -111,8 +109,8 @@ def default_budget(target: Language) -> int:
 
 class _Tally:
     """The bookkeeping both engine loops share: the records, the query and
-    counterexample counts, the stability streak, and the one rule that
-    classifies a finished run."""
+    counterexample counts, the stability streak, the stop rule that sets
+    ``stopped``, and the one rule that classifies a finished run."""
 
     def __init__(self, target: Language, window: int):
         self.target = target
@@ -122,6 +120,7 @@ class _Tally:
         self.cex_count = 0
         self.streak = 0
         self.last_change = 0
+        self.stopped = False
 
     def query(self, i: int, entry: TraceEntry, candidate: str, cex: Optional[int], event: str):
         self.records.append(_new_tuple(IterationRecord, (i, entry, candidate, cex, event)))
@@ -133,21 +132,30 @@ class _Tally:
             self.last_change = i
         self.streak = 0 if changed or cex is not None else self.streak + 1
 
-    def stable(self, program: Program) -> bool:
-        """Unrefuted for the whole window, and either refuted once before or
-        right: a run that was never refuted has learned nothing from it."""
-        return self.streak >= self.window and (
-            self.cex_count > 0 or semantically_equal(program.language, self.target)
-        )
+    def iterate(self, i: int, entry: TraceEntry, prev: Program, cex: Optional[int],
+                step: StepFn, probe: Optional[ProbeFn]) -> Program:
+        """Iteration i of a direct run after its query: apply F, settle the
+        streak, log a freeze, and stop on a frozen conjecture or on one
+        unrefuted for the whole window and either refuted once before or
+        right (a run never refuted has learned nothing from it)."""
+        current = step(prev, entry, cex, probe)
+        changed = current is not prev and current.language.mask != prev.language.mask
+        self.settle(i, changed, cex)
+        frozen = getattr(current.aux, "frozen", False)
+        if frozen:
+            self.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
+        self.stopped = frozen or self.streak >= self.window and (
+            self.cex_count > 0 or semantically_equal(current.language, self.target))
+        return current
 
     def finish(
-        self, variant: str, final: Program, converged: bool, probes: int = 0,
-        sim_state: Optional[SimState] = None, ruled_by: Optional[tuple[_Tally, int]] = None,
+        self, final: Program, probes: int = 0, sim_state: Optional[SimState] = None,
+        ruled_by: Optional[tuple[_Tally, int]] = None,
     ) -> EngineRun:
         match = semantically_equal(final.language, self.target)
         # The tally and record count of the run whose state classifies this one.
         rule, records = ruled_by or (self, len(self.records))
-        if converged:
+        if rule.stopped:
             status = CONVERGED
         elif not records:
             status = BUDGET_EXHAUSTED
@@ -160,7 +168,7 @@ class _Tally:
         else:
             status = BUDGET_EXHAUSTED
         return EngineRun(
-            variant, self.records, final, status,
+            self.records, final, status,
             self.last_change if status == CONVERGED else None,
             self.queries, probes, self.cex_count, self.window, match, sim_state,
         )
@@ -197,7 +205,6 @@ def run_engine(
     # history handed to it is (largest non-BOT entry read so far,) or ().
     history: tuple[int, ...] = ()
     probes = 0
-    converged = False
 
     def hprobe(lang: Language) -> Optional[int]:
         # Called only from the step, after this iteration's history update.
@@ -223,25 +230,11 @@ def run_engine(
         else:  # positive-only ablation: the counterexample channel is cut
             cex = None
         tally.query(i, entry, prev.descriptor(), cex, "conjecture")
-        current, converged = _iterate(tally, i, entry, prev, cex, generalizer.step, probe)
-        if converged:
+        current = tally.iterate(i, entry, prev, cex, generalizer.step, probe)
+        if tally.stopped:
             break
 
-    return tally.finish(variant, current, converged, probes)
-
-
-def _iterate(tally: _Tally, i: int, entry: TraceEntry, prev: Program, cex: Optional[int],
-             step: StepFn, probe: Optional[ProbeFn]) -> tuple[Program, bool]:
-    """Iteration i of a direct run after its query: apply F, settle the
-    stability streak, log a freeze, and say whether the run stops here (on a
-    frozen conjecture, or one stable for the window)."""
-    current = step(prev, entry, cex, probe)
-    changed = current is not prev and current.language.mask != prev.language.mask
-    tally.settle(i, changed, cex)
-    if getattr(current.aux, "frozen", False):
-        tally.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
-        return current, True
-    return current, tally.stable(current)
+    return tally.finish(current, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +476,6 @@ def simulate_min_via_arbitrary(
     # The simulated direct run: its streak and counterexample count, no queries.
     direct = _Tally(target, stability_window)
     progress_at = 0  # the last micro-step whose replay extended the consumed prefix
-    converged = False
 
     stream = zip(range(1, limit + 1), trace)
     for m, entry in stream:
@@ -532,8 +524,8 @@ def simulate_min_via_arbitrary(
                 break
             consumed += 1
             direct.cex_count += value is not None
-            prog, converged = _iterate(direct, tau_done + consumed, e, prog, value, step, None)
-            if converged or tau_done + consumed == direct_budget:
+            prog = direct.iterate(tau_done + consumed, e, prog, value, step, None)
+            if direct.stopped or tau_done + consumed == direct_budget:
                 break
         del backlog[:consumed]
         tau_done += consumed
@@ -545,7 +537,7 @@ def simulate_min_via_arbitrary(
         if cex is not None or changed:
             records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         p_last = prog
-        if converged or tau_done == direct_budget:
+        if direct.stopped or tau_done == direct_budget:
             break
 
     p_sim = p_last  # but a run cut mid-sweep reports its pending probe
@@ -554,8 +546,7 @@ def simulate_min_via_arbitrary(
         probe = lang._replace(mask=lang.mask & 1 << k, descriptor=f"{lang.descriptor}&{{{k}}}")
         p_sim = Program(p_last.family, ("probe", k), probe)
     return tally.finish(
-        SIMULATED_MINCEGIS, p_last, converged,
-        sim_state=SimState(lce, p_sim, p_last, mu or 0, tuple(backlog), tau_done),
-        # Ended by the direct run's budget, it is classified as that run.
-        ruled_by=(direct, tau_done) if tau_done == direct_budget else None,
+        p_last, sim_state=SimState(lce, p_sim, mu or 0, tuple(backlog), tau_done),
+        # Ended where the direct run stops, it is classified as that run.
+        ruled_by=(direct, tau_done) if direct.stopped or tau_done == direct_budget else None,
     )

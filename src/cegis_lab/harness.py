@@ -178,6 +178,9 @@ def demo_theorem1() -> SeparationReport:
 
 
 def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
+    if budget < i_max + 2:
+        raise ValueError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
+                         f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
     chain = ChainFamily()
     gen = chain_generalizer(chain)
     rows: list[ReportRow] = []

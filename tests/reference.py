@@ -14,7 +14,6 @@ from cegis_lab.core import (
     zigzag_decode,
 )
 from cegis_lab.engines import (
-    SIMULATED_MINCEGIS,
     _TOP,
     EngineFaultError,
     EngineRun,
@@ -23,7 +22,6 @@ from cegis_lab.engines import (
     IterationRecord,
     LceMap,
     SimState,
-    _iterate,
     _new_tuple,
     _Tally,
 )
@@ -166,7 +164,6 @@ def simulate_by_index(
     # The simulated direct run: its streak and counterexample count, no queries.
     direct = _Tally(target, stability_window)
     since_progress = 0
-    converged = False
 
     for m, entry in zip(range(1, limit + 1), trace):
         backlog.append(entry)
@@ -217,8 +214,8 @@ def simulate_by_index(
                 break
             consumed += 1
             direct.cex_count += value is not None
-            prog, converged = _iterate(direct, tau_done + consumed, e, prog, value, step, None)
-            if converged:
+            prog = direct.iterate(tau_done + consumed, e, prog, value, step, None)
+            if direct.stopped:
                 break
         del backlog[:consumed]
         tau_done += consumed
@@ -230,12 +227,12 @@ def simulate_by_index(
         if cex is not None or changed:
             tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         p_last = prog
-        if converged:
+        if direct.stopped:
             break
 
     # A run cut mid-sweep reports the pending probe as its simulated program.
     p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
     return tally.finish(
-        SIMULATED_MINCEGIS, p_last, converged,
-        sim_state=SimState(lce, p_sim, p_last, mu, tuple(backlog), tau_done),
+        p_last, sim_state=SimState(lce, p_sim, mu, tuple(backlog), tau_done),
+        ruled_by=(direct, tau_done) if direct.stopped else None,
     )

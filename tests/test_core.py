@@ -110,6 +110,8 @@ def test_pair_rejects_negative_and_oversized():
 
 def test_zigzag_known_values():
     assert [zigzag_encode(z) for z in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="zigzag codes are naturals"):
+        zigzag_decode(-1)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6))
@@ -164,6 +166,8 @@ def test_ordering_least_follows_the_order():
         suffix |= 1 << e
         assert ordering.least(1 << e) == e
         assert ordering.least(suffix) == e
+    with pytest.raises(ValueError, match="least element of an empty set"):
+        ordering.least(0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,9 @@ def test_trace_canonical_chain_examples():
 def test_trace_zero_length():
     fam = ChainFamily()
     assert trace_generate(fam.language(3), "padded-seeded", seed=5, length=0).entries == ()
+    for schedule in ("canonical", "seeded-random", "padded-seeded"):
+        with pytest.raises(ValueError, match="trace length must be nonnegative, got -1"):
+            trace_generate(fam.language(3), schedule, seed=5, length=-1)
 
 
 def test_trace_entries_are_members_or_bot():
@@ -297,7 +304,7 @@ def test_lazy_trace_matches_eager(language, schedule, seed, length, k):
     assert tuple(islice(trace, k)) == expected[:k]
     assert trace.entries == expected
     assert len(trace) == length
-    # Two iterations of a fresh trace in lockstep share the entries made.
+    # Two iterations of a fresh trace in lockstep give the same entries.
     fresh = trace_generate(language, schedule, seed=seed, length=length)
     assert list(zip(fresh, fresh)) == list(zip(expected, expected))
 
@@ -324,11 +331,10 @@ def test_trace_iteration_makes_no_block_past_the_last_entry_yielded(
     trace = trace_generate(language, schedule, seed=seed, length=length)
     sizes = []
     blocks = trace._blocks
-    trace._blocks = (sizes.append(len(block)) or block for block in blocks)
+    trace._blocks = lambda: (sizes.append(len(block)) or block for block in blocks())
     head = tuple(islice(trace, taken))
     assert head == eager_trace(language, schedule, seed, length)[:taken]
     made = sum(sizes)
-    assert len(trace._made) == made
     if head:  # the last block made holds the last entry yielded
         assert made - sizes[-1] < len(head) <= made
     else:

@@ -230,6 +230,14 @@ def test_mincegis_rectangle_counterexamples_on_boundary():
     assert cexs[0] == point_encode(-2, 0)
 
 
+def test_run_engine_rejects_an_unknown_variant():
+    fam = ChainFamily()
+    target = fam.language(2)
+    trace = trace_generate(target, "canonical", length=5)
+    with pytest.raises(ValueError, match="unknown engine variant: nosuch"):
+        run_engine("nosuch", target, trace, chain_generalizer(fam))
+
+
 def test_budget_zero_is_exhausted():
     fam = ChainFamily()
     target = fam.language(5)
@@ -352,7 +360,7 @@ def test_simulation_cut_mid_sweep_reports_the_pending_probe():
     sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=18)
     state = sim.sim_state
     assert sim.status == BUDGET_EXHAUSTED and state.mu == 6
-    p_last, p_sim = state.p_last, state.p_sim
+    p_last, p_sim = sim.final, state.p_sim
     assert p_last.descriptor() == "rect[-1,4,-4,4]"
     k = target.ordering.order[state.mu]
     assert p_sim.index == ("probe", k) and p_sim.family == p_last.family
@@ -371,10 +379,48 @@ def test_simulation_cut_after_a_probe_counterexample_reports_the_replayed_progra
     sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=11)
     state = sim.sim_state
     assert sim.status == BUDGET_EXHAUSTED and state.mu == 0
-    assert state.p_sim is state.p_last
-    assert state.p_last.descriptor() == "rect[-1,4,-4,4]"
+    assert state.p_sim is sim.final
+    assert sim.final.descriptor() == "rect[-1,4,-4,4]"
     assert [r.event for r in sim.iterations[-2:]] == ["probe", "replay"]
     assert sim.iterations[-2].cex == 6
+
+
+def test_lce_map_len_is_the_number_of_distinct_masks_cached(monkeypatch):
+    assert len(LceMap()) == 0
+    cached = []
+    set_value = LceMap.set
+    monkeypatch.setattr(LceMap, "set", lambda lce, program, value: (
+        cached.append(program.language.mask), set_value(lce, program, value)))
+    fam = RectangleFamily(grid_bound=4)
+    target = fam.language(-1, 1, -1, 1)
+    trace = trace_generate(target, "padded-seeded", seed=3, length=2000)
+    sim = simulate_min_via_arbitrary(target, trace, rectangle_generalizer(fam), budget=2000,
+                                     stability_window=50)
+    # A conjecture asked again is cached again, under the key it has.
+    assert len(sim.sim_state.lce) == len(set(cached)) == 5 < len(cached)
+
+
+def test_direct_and_simulated_runs_read_a_trace_in_either_order():
+    """Reading a trace does not change it: either engine gives, on a trace the
+    other has read, the log it gives on a fresh one."""
+    fam = RectangleFamily(grid_bound=6)
+    target = fam.language(-2, 1, -1, 3)
+    gen = rectangle_generalizer(fam)
+
+    def fresh():
+        return trace_generate(target, "padded-seeded", seed=5, length=5000)
+
+    def direct(trace):
+        return run_jsonl(run_engine(MINCEGIS, target, trace, gen, budget=400), fam.decode)
+
+    def simulated(trace):
+        return run_jsonl(simulate_min_via_arbitrary(target, trace, gen, budget=5000), fam.decode)
+
+    expected = direct(fresh()), simulated(fresh())
+    trace = fresh()
+    assert (direct(trace), simulated(trace)) == expected
+    trace = fresh()
+    assert simulated(trace) == expected[1] and direct(trace) == expected[0]
 
 
 THEOREM1_CHAIN = ChainFamily(max_index=12)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cegis_lab import harness
 from cegis_lab.core import pair_encode, trace_generate
 from cegis_lab.engines import (
     BUDGET_EXHAUSTED,
@@ -166,6 +167,18 @@ def test_demo_lemma1_exact_counts():
         assert row.queries == i + 2
     for row in hcegis_rows:
         assert row.status == STALLED and row.counterexamples == 0
+
+
+def test_demo_lemma1_refuses_a_budget_below_the_query_count(monkeypatch):
+    """Checked before any run: Lemma 1 needs i_max + 2 queries for chain[i_max]."""
+    monkeypatch.setattr(harness, "run_engine", None)
+    with pytest.raises(ValueError, match=r"^demo lemma1 needs a budget of at least "
+                       r"i_max \+ 2 = 22 \(Lemma 1's query count for chain\[20\]\), got 21$"):
+        demo_lemma1(budget=21)
+    with pytest.raises(ValueError, match=r"= 101 .* got 100$"):
+        demo_lemma1(i_max=99)
+    monkeypatch.undo()
+    assert demo_lemma1(i_max=3, budget=5).passed
 
 
 def test_demo_lemma2_both_directions():
