@@ -1,10 +1,16 @@
 """Command-line entry point: single runs, demos, and report tables.
 
 Exit codes for ``run``: 0 converged with semantic match, 2 stalled (or
-converged on the wrong language), 3 budget exhausted, 1 configuration
-error or an engine error (the simulation stopped making progress, an
-oracle answer contradicted the engine, or the probe budget ran out).  ``demo``
-exits 0 iff the demo's expected conclusion holds.
+converged on the wrong language), 3 budget exhausted, 1 an error.  ``demo``
+exits 0 iff the demo's expected conclusion holds.  An error prints one
+``error: ...`` line and exits 1: bad input (a flag, config
+key or value, or target that the command cannot use), a config file or
+report that cannot be read or is not UTF-8, an output directory (by
+``--out`` or ``CEGIS_LAB_LOG_DIR``) that cannot be made, or an engine error
+(the simulation stopped making progress, an oracle answer contradicted the
+engine, or the probe budget ran out).  Bad input raises ValueError, a file
+that cannot be read or made OSError, and an engine fault EngineError;
+``main`` alone turns each into the message.
 """
 from __future__ import annotations
 
@@ -22,9 +28,7 @@ from .engines import (
     SIMULATED_MINCEGIS,
     STALLED,
     VARIANTS,
-    EngineFaultError,
-    InconsistentOracleError,
-    ProbeOverflowError,
+    EngineError,
     chain_generalizer,
     default_budget,
     default_stability_window,
@@ -39,10 +43,6 @@ from .logio import run_jsonl, summary_dict
 from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, SEEDED_RANDOM as RANDOM_CEX, CexStrategy
 
 
-class ConfigError(Exception):
-    pass
-
-
 # Gold and diagonal languages are (B+1)-bit masks, so their bound has a
 # ceiling; a chain mask is min(i, B)+1 bits, and a rectangle's grid fixes B.
 MASK_CEILING = 1 << 20
@@ -53,14 +53,14 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip().strip('"').strip("'")
     return values
@@ -68,31 +68,38 @@ def _load_config(path: str) -> dict:
 
 def _setup(name: str, bound: Optional[int], spec: str):
     """The family ``name`` at universe bound ``bound`` (None: its default),
-    the target ``spec`` names in it, and the family's generalizer.  The one
-    switch on the family name: each branch holds its family's bound range,
-    target syntax and learner."""
+    the target ``spec`` names in it, and the family's generalizer.  The
+    family and its bound range are checked first, and then the target's
+    syntax, so that "bad target" prefixes only the target's own errors."""
 
     def within(least: int, most: Optional[int] = None) -> int:
         if bound < least:
-            raise ConfigError(f"universe bound must be at least {least} for family {name}, "
-                              f"got {bound}")
+            raise ValueError(f"universe bound must be at least {least} for family {name}, "
+                             f"got {bound}")
         if most is not None and bound > most:
-            raise ConfigError(f"universe bound must be at most {most} for family {name}, "
-                              f"got {bound}")
+            raise ValueError(f"universe bound must be at most {most} for family {name}, "
+                             f"got {bound}")
         return bound
 
+    if name == "chain":
+        family = ChainFamily() if bound is None else ChainFamily(within(2) - 2)
+    elif name == "rectangle":
+        if bound is not None:
+            raise ValueError("rectangle takes no universe bound: its grid fixes it")
+        family = RectangleFamily()
+    elif name == "diagonal":
+        family = DiagonalFamily() if bound is None else DiagonalFamily(within(0, MASK_CEILING))
+    elif name == "gold":
+        family = GoldFamily() if bound is None else GoldFamily(within(0, MASK_CEILING))
+    else:
+        raise ValueError(f"unknown family: {name}")
     try:
         if name == "chain":
-            family = ChainFamily() if bound is None else ChainFamily(within(2) - 2)
             return family, family.language(int(spec)), chain_generalizer(family)
         if name == "rectangle":
-            if bound is not None:
-                raise ConfigError("rectangle takes no universe bound: its grid fixes it")
-            family = RectangleFamily()
             ax, bx, ay, by = (int(v) for v in spec.split(","))
             return family, family.language(ax, bx, ay, by), rectangle_generalizer(family)
         if name == "diagonal":
-            family = DiagonalFamily() if bound is None else DiagonalFamily(within(0, MASK_CEILING))
             if spec.startswith("diag:"):
                 target = family.diag_language(int(spec[5:]))
             elif spec.startswith("fin:"):
@@ -100,18 +107,15 @@ def _setup(name: str, bound: Optional[int], spec: str):
             else:
                 raise ValueError("diagonal target must be diag:<i> or fin:<json pairs>")
             return family, target, diag_generalizer(family)
-        if name == "gold":
-            family = GoldFamily() if bound is None else GoldFamily(within(0, MASK_CEILING))
-            if spec == "full":
-                target = family.full_language()
-            elif spec.startswith("minus:"):
-                target = family.minus_language(int(spec[6:]))
-            else:
-                raise ValueError("gold target must be full or minus:<i>")
-            return family, target, gold_generalizer(family)
+        if spec == "full":  # gold
+            target = family.full_language()
+        elif spec.startswith("minus:"):
+            target = family.minus_language(int(spec[6:]))
+        else:
+            raise ValueError("gold target must be full or minus:<i>")
+        return family, target, gold_generalizer(family)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad target {spec!r} for family {name}: {exc}") from exc
-    raise ConfigError(f"unknown family: {name}")
+        raise ValueError(f"bad target {spec!r} for family {name}: {exc}") from exc
 
 
 def _out_dir(arg: Optional[str]) -> Path:
@@ -123,9 +127,9 @@ def _out_dir(arg: Optional[str]) -> Path:
 
 def _check_budget(budget: int) -> int:
     if budget < 1:
-        raise ConfigError(f"budget must be a positive integer, got {budget}")
+        raise ValueError(f"budget must be a positive integer, got {budget}")
     if budget > sys.maxsize:  # a trace's length must fit len()
-        raise ConfigError(f"budget must be at most {sys.maxsize}, got {budget}")
+        raise ValueError(f"budget must be at most {sys.maxsize}, got {budget}")
     return budget
 
 
@@ -141,7 +145,7 @@ def cmd_run(args) -> int:
             try:
                 return cast(cfg[key])
             except ValueError:
-                raise ConfigError(f"config {key} = {cfg[key]!r} is not an integer") from None
+                raise ValueError(f"config {key} = {cfg[key]!r} is not an integer") from None
         return default
 
     family_name, target_spec = pick("family"), pick("target")
@@ -151,31 +155,28 @@ def cmd_run(args) -> int:
     kind = pick("strategy")
     unread = sorted(set(cfg) - read)
     if unread:
-        raise ConfigError(f"{args.config}: unknown key {unread[0]}; "
-                          f"the keys are {', '.join(sorted(read))}")
+        raise ValueError(f"{args.config}: unknown key {unread[0]}; "
+                         f"the keys are {', '.join(sorted(read))}")
     if family_name is None or target_spec is None:
-        raise ConfigError("run requires --family and --target")
+        raise ValueError("run requires --family and --target")
     if engine not in VARIANTS + (SIMULATED_MINCEGIS,):
-        raise ConfigError(f"unknown engine: {engine}")
+        raise ValueError(f"unknown engine: {engine}")
 
     family, target, generalizer = _setup(family_name, bound, target_spec)
     budget = _check_budget(default_budget(target) if budget is None else budget)
     window = min(default_stability_window(target), budget)
     if kind is not None and engine not in (CEGIS, SIMULATED_MINCEGIS):
-        raise ConfigError(f"engine {engine} takes no strategy: only cegis and "
-                          f"simulated-mincegis ask the arbitrary-counterexample oracle")
+        raise ValueError(f"engine {engine} takes no strategy: only cegis and "
+                         f"simulated-mincegis ask the arbitrary-counterexample oracle")
     if kind == CONSISTENT_AVOIDING:
-        raise ConfigError("strategy consistent-avoiding needs an avoid set, "
-                          "which the command line cannot give")
+        raise ValueError("strategy consistent-avoiding needs an avoid set, "
+                         "which the command line cannot give")
     if seed is not None and schedule not in (SEEDED_RANDOM, PADDED_SEEDED) and kind != RANDOM_CEX:
-        raise ConfigError(f"seed {seed} is unused: only the seeded-random and padded-seeded "
-                          "schedules and the seeded-random strategy read it")
+        raise ValueError(f"seed {seed} is unused: only the seeded-random and padded-seeded "
+                         "schedules and the seeded-random strategy read it")
     seed = seed or 0
-    try:
-        strategy = CexStrategy(kind=kind or FIRST_FOUND, seed=seed)
-        trace = trace_generate(target, schedule, seed=seed, length=budget)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    strategy = CexStrategy(kind=kind or FIRST_FOUND, seed=seed)
+    trace = trace_generate(target, schedule, seed=seed, length=budget)
     if engine == SIMULATED_MINCEGIS:
         run = simulate_min_via_arbitrary(
             target, trace, generalizer, strategy, budget=budget, stability_window=window,
@@ -205,22 +206,19 @@ def cmd_demo(args) -> int:
     from . import harness  # the demos; `run` does not load them
 
     if args.name not in harness.DEMOS:
-        raise ConfigError(f"unknown demo: {args.name}")
+        raise ValueError(f"unknown demo: {args.name}")
     kwargs = {}
     if args.imax is not None:
         if args.name != "lemma1":
-            raise ConfigError(f"demo {args.name} takes no --imax")
+            raise ValueError(f"demo {args.name} takes no --imax")
         if not 0 <= args.imax <= ChainFamily().max_index:
-            raise ConfigError(f"--imax must be in [0, {ChainFamily().max_index}]")
+            raise ValueError(f"--imax must be in [0, {ChainFamily().max_index}]")
         kwargs["i_max"] = args.imax
     if args.budget is not None:
         if args.name == "theorem1":
-            raise ConfigError("demo theorem1 takes no --budget")
+            raise ValueError("demo theorem1 takes no --budget")
         kwargs["budget"] = _check_budget(args.budget)
-    try:
-        report = harness.DEMOS[args.name](**kwargs)
-    except ValueError as exc:  # a lemma1 budget below Lemma 1's query count
-        raise ConfigError(str(exc)) from exc
+    report = harness.DEMOS[args.name](**kwargs)
 
     out = _out_dir(args.out)
     (out / f"demo-{args.name}.md").write_text(report.to_markdown())
@@ -236,15 +234,15 @@ def cmd_table(args) -> int:
     try:
         doc = json.loads(Path(args.report).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read report {args.report}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise ConfigError(f"report {args.report} is not JSON: {exc}") from exc
+        raise ValueError(f"report {args.report} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"report {args.report} is not a JSON object")
+        raise ValueError(f"report {args.report} is not a JSON object")
     if "rows" in doc:  # demo report
         rows = doc["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise ConfigError(f"report {args.report}: rows must be a list of objects")
+            raise ValueError(f"report {args.report}: rows must be a list of objects")
         keys = ["family", "target", "variant", "status", "semantic_match", "queries"]
         print("| " + " | ".join(keys) + " |")
         print("|" + "---|" * len(keys))
@@ -303,7 +301,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ConfigError, EngineFaultError, InconsistentOracleError, ProbeOverflowError) as exc:
+    except (ValueError, OSError, EngineError) as exc:  # the one place an error is shown
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,14 +24,6 @@ TraceEntry = Optional[int]
 _PAIR_ARG_LIMIT = 1 << 40
 
 
-class PairRangeError(ValueError):
-    """Pairing argument outside the supported range."""
-
-
-class EmptyLanguageError(ValueError):
-    """Canonical trace generation requires a nonempty language."""
-
-
 def pair_encode(n1: int, n2: int) -> int:
     """Cantor pairing code for (n1, n2).
 
@@ -40,9 +32,9 @@ def pair_encode(n1: int, n2: int) -> int:
     constructions rely on).
     """
     if n1 < 0 or n2 < 0:
-        raise PairRangeError("pairing is defined on naturals only")
+        raise ValueError("pairing is defined on naturals only")
     if n1 > _PAIR_ARG_LIMIT or n2 > _PAIR_ARG_LIMIT:
-        raise PairRangeError(f"pairing argument exceeds supported range: ({n1}, {n2})")
+        raise ValueError(f"pairing argument exceeds supported range: ({n1}, {n2})")
     s = n1 + n2
     return s * (s + 1) // 2 + n2
 
@@ -50,7 +42,7 @@ def pair_encode(n1: int, n2: int) -> int:
 def pair_decode(code: int) -> tuple[int, int]:
     """Inverse of pair_encode."""
     if code < 0:
-        raise PairRangeError("pair codes are naturals")
+        raise ValueError("pair codes are naturals")
     s = (math.isqrt(8 * code + 1) - 1) // 2
     n2 = code - s * (s + 1) // 2
     return s - n2, n2
@@ -234,9 +226,7 @@ def trace_generate(
         return Trace()
     members = bits(language.mask)
     if schedule == CANONICAL and not members:
-        raise EmptyLanguageError(
-            f"canonical schedule needs a nonempty language: {language.descriptor}"
-        )
+        raise ValueError(f"canonical schedule needs a nonempty language: {language.descriptor}")
     trace = Trace()
     trace._length = length
     trace._blocks = lambda: _blocks(schedule, members, random.Random(seed))

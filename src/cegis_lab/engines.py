@@ -37,16 +37,9 @@ STALLED = "stalled"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-class EngineFaultError(RuntimeError):
-    """The simulation's progress guard fired: it stopped replaying the trace."""
-
-
-class InconsistentOracleError(RuntimeError):
-    """A verifier answer contradicts engine state; impossible when sound."""
-
-
-class ProbeOverflowError(RuntimeError):
-    """Auxiliary probe budget exhausted."""
+class EngineError(RuntimeError):
+    """An engine fault: the simulation stopped making progress, an oracle
+    answer contradicted the engine's state, or the probe budget ran out."""
 
 
 # The most probes one HCEGIS run may ask; read when a probe runs.
@@ -211,7 +204,7 @@ def run_engine(
         nonlocal probes
         probes += 1
         if probes > PROBE_CAP:
-            raise ProbeOverflowError(f"more than {PROBE_CAP} probes")
+            raise EngineError(f"more than {PROBE_CAP} probes")
         return hcheck(lang, target, history)
 
     probe = hprobe if variant == HCEGIS else None
@@ -251,9 +244,9 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
     bound B a conjecture is restricted to [0, B]."""
     bound = family.universe_bound
 
-    def make(i: int, frozen: bool) -> Program:
-        lang = Language((1 << min(i, bound) + 1) - 1, bound, f"chain[{i}]")
-        return Program("chain", i, lang, FrozenAux(frozen))
+    def make(i: int, frozen: bool, mask: Optional[int] = None) -> Program:
+        mask = (1 << min(i, bound) + 1) - 1 if mask is None else mask
+        return Program("chain", i, Language(mask, bound, f"chain[{i}]"), FrozenAux(frozen))
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
         if prev.aux.frozen:
@@ -261,9 +254,11 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
         j = prev.index
         if cex is not None:
             if j == 0:
-                raise InconsistentOracleError("counterexample against chain[0]")
+                raise EngineError("counterexample against chain[0]")
             return make(j - 1, True)
-        return make(j + 1, False)
+        # Past B every mask is [0, B]'s: reusing prev's int object lets the
+        # engine loop compare the two masks in O(1) rather than O(B).
+        return make(j + 1, False, prev.language.mask if j >= bound else None)
 
     return Generalizer(make(0, False), step)
 
@@ -306,9 +301,7 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
                 if hull is not None and not (nlo <= hull[a] and hull[a + 1] <= nhi):
                     continue
                 return (nlo, nhi, ay, by) if a == 0 else (ax, bx, nlo, nhi)
-        raise InconsistentOracleError(
-            f"counterexample ({xc},{yc}) inside the positive hull {hull}"
-        )
+        raise EngineError(f"counterexample ({xc},{yc}) inside the positive hull {hull}")
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
         bounds = prev.index
@@ -394,9 +387,7 @@ def gold_generalizer(family: GoldFamily) -> Generalizer:
         if cex is None:
             return prev
         if prev.aux.frozen:
-            raise InconsistentOracleError(
-                f"counterexample {cex} after the conjecture was pinned"
-            )
+            raise EngineError(f"counterexample {cex} after the conjecture was pinned")
         return Program("gold", ("minus", cex), family.minus_language(cex), FrozenAux(True))
 
     initial = Program("gold", ("full",), family.full_language(), FrozenAux(False))
@@ -481,7 +472,7 @@ def simulate_min_via_arbitrary(
     for m, entry in stream:
         backlog.append(entry)
         if m - progress_at > guard:
-            raise EngineFaultError("simulation stopped making progress")
+            raise EngineError("simulation stopped making progress")
 
         cex = check(p_last.language, target, strategy)
         tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
@@ -505,9 +496,7 @@ def simulate_min_via_arbitrary(
             tally.queries += probes
             if cex is None:
                 if probes == len(order):
-                    raise InconsistentOracleError(
-                        "probe sweep exhausted the universe without a counterexample"
-                    )
+                    raise EngineError("probe sweep exhausted the universe without a counterexample")
                 mu = probes  # cut short by the budget, or by the guard on the next entry
                 continue
             # Case 2.1: the probe's sole element is the minimal counterexample.

@@ -19,18 +19,6 @@ from .core import (
 )
 
 
-class IndexOutOfRangeError(ValueError):
-    """Family index beyond the harness cap."""
-
-
-class InvalidRectangleError(ValueError):
-    """Inverted rectangle bounds or bounds outside the grid."""
-
-
-class InvalidFamilyMemberError(ValueError):
-    """A finite diagonal-family member violating the family definition."""
-
-
 class ChainFamily(NamedTuple):
     """L_i = {n | n <= i}; the languages form a strict chain."""
 
@@ -42,7 +30,7 @@ class ChainFamily(NamedTuple):
 
     def language(self, i: int) -> Language:
         if not 0 <= i <= self.max_index:
-            raise IndexOutOfRangeError(f"chain index {i} not in [0, {self.max_index}]")
+            raise ValueError(f"chain index {i} not in [0, {self.max_index}]")
         return Language((1 << i + 1) - 1, self.universe_bound, f"chain[{i}]")
 
 
@@ -94,9 +82,9 @@ class RectangleFamily:
     def language(self, ax: int, bx: int, ay: int, by: int) -> Language:
         g = self.grid_bound
         if ax > bx or ay > by:
-            raise InvalidRectangleError(f"inverted bounds ({ax},{bx},{ay},{by})")
+            raise ValueError(f"inverted bounds ({ax},{bx},{ay},{by})")
         if min(ax, ay) < -g or max(bx, by) > g:
-            raise InvalidRectangleError(f"bounds outside +/-{g} grid")
+            raise ValueError(f"bounds outside +/-{g} grid")
         cols, rows = self._columns, self._rows
         mask = (cols[bx + g + 1] ^ cols[ax + g]) & (rows[by + g + 1] ^ rows[ay + g])
         return Language(
@@ -128,9 +116,7 @@ class DiagonalFamily(NamedTuple):
     def diag_language(self, i: int) -> Language:
         top = self.base_max
         if not 0 <= i <= top:
-            raise IndexOutOfRangeError(
-                f"diag index {i} not representable below bound {self.universe_bound}"
-            )
+            raise ValueError(f"diag index {i} not representable below bound {self.universe_bound}")
         mask = sum(1 << pair_encode(0, n) for n in range(i, top + 1))
         return Language(mask, self.universe_bound, f"diag[{i}]")
 
@@ -138,19 +124,17 @@ class DiagonalFamily(NamedTuple):
         members = [tuple(m) for m in members]
         # bool is an int subclass: True would pass as 1 and label as (True,2)
         if any(not isinstance(c, int) or isinstance(c, bool) for m in members for c in m):
-            raise InvalidFamilyMemberError("fin member coordinates must be integers")
+            raise ValueError("fin member coordinates must be integers")
         pairs = sorted(set(members))
         if not pairs:
-            raise InvalidFamilyMemberError("fin language must be nonempty")
+            raise ValueError("fin language must be nonempty")
         if any(j not in (0, 1) for j, _ in pairs):
-            raise InvalidFamilyMemberError("fin members must have first coordinate 0 or 1")
+            raise ValueError("fin members must have first coordinate 0 or 1")
         if not any(j == 1 for j, _ in pairs):
-            raise InvalidFamilyMemberError("fin language needs at least one <1, .> member")
+            raise ValueError("fin language needs at least one <1, .> member")
         codes = frozenset(pair_encode(j, n) for j, n in pairs)
         if max(codes) > self.universe_bound:
-            raise InvalidFamilyMemberError(
-                f"fin member code exceeds universe bound {self.universe_bound}"
-            )
+            raise ValueError(f"fin member code exceeds universe bound {self.universe_bound}")
         label = ",".join(f"({j},{n})" for j, n in pairs)
         return Language(sum(1 << c for c in codes), self.universe_bound, f"fin[{label}]")
 
@@ -169,6 +153,6 @@ class GoldFamily(NamedTuple):
 
     def minus_language(self, i: int) -> Language:
         if not 0 <= i <= self.bound:
-            raise IndexOutOfRangeError(f"gold deletion index {i} not in [0, {self.bound}]")
+            raise ValueError(f"gold deletion index {i} not in [0, {self.bound}]")
         full = (1 << self.bound + 1) - 1
         return Language(full ^ (1 << i), self.bound, f"gold[-{i}]")

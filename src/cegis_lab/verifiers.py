@@ -107,6 +107,6 @@ def hcheck(
     seen = smpl(history)
     if not seen:
         return None
-    c = candidate.mask
-    least = _lowest(c ^ (c & target.mask))  # -1 for no difference
-    return _sound(candidate, target, least) if 0 <= least < max(seen) else None
+    c = candidate.mask & (1 << max(seen)) - 1  # only members below the largest sample
+    diff = c ^ (c & target.mask)
+    return _sound(candidate, target, _lowest(diff)) if diff else None

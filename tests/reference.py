@@ -15,10 +15,9 @@ from cegis_lab.core import (
 )
 from cegis_lab.engines import (
     _TOP,
-    EngineFaultError,
+    EngineError,
     EngineRun,
     Generalizer,
-    InconsistentOracleError,
     IterationRecord,
     LceMap,
     SimState,
@@ -102,7 +101,7 @@ def radial_key(code: int) -> tuple:
 def rectangle_shrink(bounds, hull, xc: int, yc: int):
     """The rectangle learner's bound shrink on a counterexample (xc, yc),
     searching the axes and sides by name: the bounds after it, or
-    InconsistentOracleError when no bound can exclude the point."""
+    EngineError when no bound can exclude the point."""
     ax, bx, ay, by = bounds
     axes = [("x", xc), ("y", yc)]
     if abs(yc) > abs(xc):
@@ -129,9 +128,7 @@ def rectangle_shrink(bounds, hull, xc: int, yc: int):
             if axis == "x":
                 return (nlo, nhi, ay, by)
             return (ax, bx, nlo, nhi)
-    raise InconsistentOracleError(
-        f"counterexample ({xc},{yc}) inside the positive hull {hull}"
-    )
+    raise EngineError(f"counterexample ({xc},{yc}) inside the positive hull {hull}")
 
 
 def simulate_by_index(
@@ -171,7 +168,7 @@ def simulate_by_index(
         # Progress invariant: between extensions of the consumed prefix the
         # simulation can spend at most one full probe sweep plus overhead.
         if since_progress > len(order) + 2:
-            raise EngineFaultError("simulation stopped making progress")
+            raise EngineError("simulation stopped making progress")
 
         if probe is None:
             cex = check(p_last.language, target, strategy)
@@ -187,7 +184,7 @@ def simulate_by_index(
             if sweep:  # Case 2.2
                 mu += 1
                 if mu >= len(order):
-                    raise InconsistentOracleError(
+                    raise EngineError(
                         "probe sweep exhausted the universe without a counterexample"
                     )
             else:  # Case 2.1: the probe's sole element is the minimal counterexample

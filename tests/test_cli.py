@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, log files, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cegis_lab
 from cegis_lab import engines
@@ -438,3 +443,187 @@ def test_table_bad_report_exits_1_with_a_message(tmp_path, capsys, name, content
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def tree(root: Path) -> dict:
+    """Every path under ``root``, with a file's bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv,log_dir", [
+    (("run", "--config", "{tmp}/latin1.cfg", "--out", "{tmp}/out"), None),
+    (CHAIN5 + ("--out", "{tmp}/afile"), None),
+    (CHAIN5 + ("--out", "{tmp}/afile/sub"), None),
+    (CHAIN5, "{tmp}/afile"),
+], ids=["config-not-utf8", "out-is-a-file", "out-under-a-file", "log-dir-is-a-file"])
+def test_unreadable_config_or_output_dir_exits_1_with_a_message(
+        tmp_path, capsys, monkeypatch, argv, log_dir):
+    (tmp_path / "latin1.cfg").write_bytes(b"family = chain\ntarget = 5\n# caf\xe9\n")
+    (tmp_path / "afile").write_text("not a directory\n")
+    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+    if log_dir is not None:
+        monkeypatch.setenv("CEGIS_LAB_LOG_DIR", log_dir.format(tmp=tmp_path))
+    before = tree(tmp_path)
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert tree(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract as a property: a valid run setting, delivered by flags or
+# by a config file, with at most one defect injected.
+
+FAMILIES = ("chain", "rectangle", "diagonal", "gold")
+ENGINES = ("cegis", "mincegis", "hcegis", "positive-only", "simulated-mincegis")
+ASKS_CHECK = ("cegis", "simulated-mincegis")  # the engines that take a strategy
+KINDS = ("first-found", "seeded-random", "adversarial-max")
+SEEDED = ("seeded-random", "padded-seeded")
+
+
+@st.composite
+def run_settings(draw, families=FAMILIES):
+    """A setting the CLI accepts, as {config key: value}: small bounds and
+    budgets, and a budget always for the rectangle family and the diagonal
+    family at its default bound of 600."""
+    family = draw(st.sampled_from(families))
+    bound = None
+    if family == "chain":
+        bound = draw(st.none() | st.integers(2, 12))
+        target = str(draw(st.integers(0, 120 if bound is None else bound - 2)))
+    elif family == "rectangle":
+        (ax, bx), (ay, by) = (sorted(draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)))
+                              for _ in range(2))
+        target = f"{ax},{bx},{ay},{by}"
+    elif family == "diagonal":
+        bound = draw(st.none() | st.integers(20, 60))  # fin codes below reach 19
+        if draw(st.booleans()):
+            top = (isqrt(8 * (bound or 600) + 9) - 3) // 2
+            target = f"diag:{draw(st.integers(0, top))}"
+        else:
+            pairs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4)), max_size=2))
+            pairs.append((1, draw(st.integers(0, 4))))
+            target = "fin:" + json.dumps(pairs, separators=(",", ":"))
+    else:
+        bound = draw(st.none() | st.integers(1, 12))  # gold[-0] at B = 0 is empty
+        target = draw(st.just("full") | st.integers(0, bound or 50).map("minus:{}".format))
+    engine = draw(st.sampled_from(ENGINES))
+    strategy = draw(st.none() | st.sampled_from(KINDS)) if engine in ASKS_CHECK else None
+    schedule = draw(st.none() | st.sampled_from(("canonical",) + SEEDED))
+    seed = None
+    if schedule in SEEDED or strategy == "seeded-random":
+        seed = draw(st.none() | st.integers(0, 99))
+    if family == "rectangle" or family == "diagonal" and bound is None:
+        budget = draw(st.integers(1, 40))
+    else:
+        budget = draw(st.none() | st.integers(1, 40))
+    setting = {"family": family, "target": target, "engine": engine, "strategy": strategy,
+               "schedule": schedule, "seed": seed, "budget": budget, "universe_bound": bound}
+    return {key: str(value) for key, value in setting.items() if value is not None}
+
+
+def inject(defect, setting, draw):
+    """Make ``setting`` wrong in the one way ``defect`` names.  Return the
+    config lines to add (None: the defect is in the setting alone) and
+    whether ``--out`` names a file."""
+    family, extra, out_is_file = setting["family"], None, False
+    if defect == "unknown-engine":
+        setting["engine"] = "nosuch"
+    elif defect == "unknown-schedule":
+        setting["schedule"] = "nosuch"
+    elif defect == "unknown-strategy":
+        setting.update(engine=draw(st.sampled_from(ASKS_CHECK)), strategy="nosuch")
+    elif defect == "strategy-without-check":
+        setting.update(engine=draw(st.sampled_from(("mincegis", "hcegis", "positive-only"))),
+                       strategy=draw(st.sampled_from(KINDS)))
+    elif defect == "consistent-avoiding":
+        setting.update(engine=draw(st.sampled_from(ASKS_CHECK)), strategy="consistent-avoiding")
+    elif defect == "unused-seed":
+        if setting.get("strategy") == "seeded-random":
+            del setting["strategy"]
+        setting.pop("schedule", None)
+        if draw(st.booleans()):
+            setting["schedule"] = "canonical"
+        setting["seed"] = str(draw(st.integers(0, 99)))
+    elif defect == "budget":
+        setting["budget"] = str(draw(st.sampled_from((0, -1, -40, sys.maxsize + 1, 10**20))))
+    elif defect == "unknown-config-key":
+        extra = [draw(st.sampled_from(("budgett = 3", "out = elsewhere", "generalizer = chain")))]
+    elif defect == "config-line-without-equals":
+        extra = [draw(st.sampled_from(("target 5", "family", "seed: 3")))]
+    elif defect == "config-not-utf8":
+        extra = ["# caf\udce9"]  # written back as the single byte 0xe9
+    elif defect == "bound-out-of-range":
+        if family == "chain":
+            outside = st.integers(-5, 1)
+        else:
+            outside = st.integers(-5, -1) | st.integers(2**20 + 1, 2**21)
+        setting["universe_bound"] = str(draw(outside))
+    elif defect == "rectangle-with-bound":
+        setting["universe_bound"] = str(draw(st.integers(0, 10**4)))
+    elif defect == "malformed-target":
+        setting["target"] = draw(st.sampled_from(("foo", "", "1,2", "diag:x", "minus:x", "fin:[]")))
+    elif defect == "out-is-a-file":
+        out_is_file = True
+    if defect in ("unknown-schedule", "unknown-strategy") and not (
+            setting.get("schedule") in SEEDED or setting.get("strategy") == "seeded-random"):
+        setting.pop("seed", None)  # else the seed, no longer read, is a second defect
+    return extra, out_is_file
+
+
+DEFECTS = (
+    "unknown-engine", "unknown-schedule", "unknown-strategy", "strategy-without-check",
+    "consistent-avoiding", "unused-seed", "budget", "unknown-config-key",
+    "config-line-without-equals", "config-not-utf8", "bound-out-of-range",
+    "rectangle-with-bound", "malformed-target", "out-is-a-file",
+)
+
+
+def invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("defect", (None,) + DEFECTS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cli_contract_property(defect, data):
+    """Exit 1 exactly when a defect was injected, and then an empty stdout,
+    one ``error:`` line and no file written; otherwise both output files.
+    The setting given by flags or by a config file runs byte-identically."""
+    families = {"bound-out-of-range": ("chain", "diagonal", "gold"),
+                "rectangle-with-bound": ("rectangle",)}.get(defect, FAMILIES)
+    setting = data.draw(run_settings(families))
+    extra, out_is_file = inject(defect, setting, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "afile").write_text("not a directory\n")
+        runs = {}
+        # A defect in the config file's lines is given only there.
+        for delivery in ("config",) if extra is not None else ("flags", "config"):
+            out = root / "afile" if out_is_file else root / delivery
+            if delivery == "flags":
+                argv = [f"--{key.replace('_', '-')}={value}" for key, value in setting.items()]
+            else:
+                cfg = root / "run.cfg"
+                lines = [f"{key} = {value}" for key, value in setting.items()] + (extra or [])
+                cfg.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+                argv = ["--config", str(cfg)]
+            before = tree(root)
+            code, stdout, stderr = invoke(["run", *argv, "--out", str(out)])
+            assert (code == 1) == (defect is not None), (delivery, setting, stderr)
+            if code == 1:
+                assert stdout == ""
+                assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+                assert tree(root) == before
+                continue
+            assert code in (0, 2, 3) and stderr == ""
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert len(written) == 2
+            assert any(name.endswith(".summary.json") for name in written)
+            runs[delivery] = written
+        if len(runs) == 2:
+            assert runs["flags"] == runs["config"]

@@ -1,6 +1,7 @@
 """Pairing, traces, and language plumbing."""
 
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from cegis_lab.core import (
     BOT,
-    EmptyLanguageError,
-    PairRangeError,
     Trace,
     pair_decode,
     pair_encode,
@@ -96,11 +95,12 @@ def test_pair_decode_roundtrip_property(code):
 
 
 def test_pair_rejects_negative_and_oversized():
-    with pytest.raises(PairRangeError):
+    with pytest.raises(ValueError, match="pairing is defined on naturals only"):
         pair_encode(-1, 0)
-    with pytest.raises(PairRangeError):
+    with pytest.raises(ValueError, match=re.escape(
+            "pairing argument exceeds supported range: (0, 2199023255552)")):
         pair_encode(0, 1 << 41)
-    with pytest.raises(PairRangeError):
+    with pytest.raises(ValueError, match="pair codes are naturals"):
         pair_decode(-1)
 
 
@@ -221,7 +221,7 @@ def test_trace_deterministic_per_seed():
 
 def test_trace_empty_language_rejected():
     empty = explicit_language(set(), universe_bound=5)
-    with pytest.raises(EmptyLanguageError):
+    with pytest.raises(ValueError, match="canonical schedule needs a nonempty language"):
         trace_generate(empty, "canonical", length=3)
 
 
@@ -258,7 +258,7 @@ def eager_trace(language, schedule, seed, length):
     members = sorted(language.members())
     if schedule == "canonical":
         if not members:
-            raise EmptyLanguageError(language.descriptor)
+            raise ValueError(f"canonical schedule needs a nonempty language: {language.descriptor}")
         return tuple(members[i] if i < len(members) else members[-1] for i in range(length))
     rng = random.Random(seed)
     if schedule == "seeded-random":
@@ -343,7 +343,7 @@ def test_trace_iteration_makes_no_block_past_the_last_entry_yielded(
 
 def test_lazy_trace_empty_language():
     empty = explicit_language(set(), universe_bound=5)
-    with pytest.raises(EmptyLanguageError):
+    with pytest.raises(ValueError, match="canonical schedule needs a nonempty language"):
         trace_generate(empty, "canonical", length=3)
     assert trace_generate(empty, "canonical", length=0).entries == ()
     for schedule in ("seeded-random", "padded-seeded"):

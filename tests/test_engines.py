@@ -21,15 +21,13 @@ from cegis_lab.engines import (
     CEGIS,
     CONVERGED,
     HCEGIS,
-    EngineFaultError,
-    InconsistentOracleError,
+    EngineError,
     IterationRecord,
     LceMap,
     MINCEGIS,
     POSITIVE_ONLY,
     SIMULATED_MINCEGIS,
     STALLED,
-    ProbeOverflowError,
     RectAux,
     _TOP,
     chain_generalizer,
@@ -77,7 +75,7 @@ def test_chain_step_examples():
 
 def test_chain_cex_against_bottom_is_inconsistent():
     gen = chain_generalizer(ChainFamily())
-    with pytest.raises(InconsistentOracleError):
+    with pytest.raises(EngineError, match=re.escape("counterexample against chain[0]")):
         gen.step(gen.initial, 0, 0)
 
 
@@ -115,7 +113,8 @@ def test_rectangle_cex_inside_hull_is_inconsistent():
     fam = RectangleFamily()
     gen = rectangle_generalizer(fam)
     prog = gen.step(gen.initial, point_encode(0, 0), None)
-    with pytest.raises(InconsistentOracleError):
+    with pytest.raises(EngineError, match=re.escape(
+            "counterexample (0,0) inside the positive hull (0, 0, 0, 0)")):
         gen.step(prog, BOT, point_encode(0, 0))
 
 
@@ -138,8 +137,8 @@ def test_rectangle_shrink_equals_the_axis_name_reference(data, xs, ys, hull):
     step = rectangle_generalizer(_GRID4).step
     try:
         expected = rectangle_shrink(bounds, hull, *point)
-    except InconsistentOracleError as exc:
-        with pytest.raises(InconsistentOracleError, match=re.escape(str(exc))):
+    except EngineError as exc:
+        with pytest.raises(EngineError, match=re.escape(str(exc))):
             step(prev, BOT, point_encode(*point))
     else:
         after = step(prev, BOT, point_encode(*point))
@@ -159,7 +158,7 @@ def test_gold_step_examples():
     assert pinned.index == ("minus", 17)
     assert not pinned.language.contains(17)
     assert gen.step(pinned, 3, None) is pinned
-    with pytest.raises(InconsistentOracleError):
+    with pytest.raises(EngineError, match="counterexample 5 after the conjecture was pinned"):
         gen.step(pinned, 3, 5)
 
 
@@ -482,7 +481,7 @@ def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed, 
     simulation ends where direct MinCEGIS ends, with the same status, also
     where the direct run's budget cuts it short; its cache holds only true
     minimal counterexamples; and it never fires its progress guard (an
-    EngineFaultError would fail the test)."""
+    EngineError would fail the test)."""
     family, target = case
     direct, sim = _theorem1_runs(
         THEOREM1_GENS[family], target, kind, schedule, seed, direct_budget
@@ -762,7 +761,7 @@ def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
     fam = GoldFamily(bound=8)
     target = fam.minus_language(3)
     trace = trace_generate(target, "canonical", length=100)
-    with pytest.raises(EngineFaultError, match="progress"):
+    with pytest.raises(EngineError, match="simulation stopped making progress"):
         simulate_min_via_arbitrary(target, trace, gold_generalizer(fam), budget=100)
 
 
@@ -801,5 +800,5 @@ def test_probe_cap_overflow_on_diagonal_hcegis(monkeypatch):
     run = run_engine(HCEGIS, target, trace, gen, budget=20)
     assert run.probes == 26 and run.semantic_match
     monkeypatch.setattr(engines, "PROBE_CAP", 25)
-    with pytest.raises(ProbeOverflowError, match="more than 25 probes"):
+    with pytest.raises(EngineError, match="more than 25 probes"):
         run_engine(HCEGIS, target, trace, gen, budget=20)
