@@ -114,7 +114,7 @@ def _setup(name: str, bound: Optional[int], spec: str):
         else:
             raise ValueError("gold target must be full or minus:<i>")
         return family, target, gold_generalizer(family)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # fin: JSON can nest too deeply
         raise ValueError(f"bad target {spec!r} for family {name}: {exc}") from exc
 
 
@@ -237,6 +237,8 @@ def cmd_table(args) -> int:
         raise ValueError(f"cannot read report {args.report}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ValueError(f"report {args.report} is not JSON: {exc}") from exc
+    except RecursionError as exc:  # a RuntimeError, raised past the recursion limit
+        raise ValueError(f"report {args.report} nests too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"report {args.report} is not a JSON object")
     if "rows" in doc:  # demo report

@@ -171,6 +171,18 @@ class Trace:
     def __len__(self) -> int:
         return self._length
 
+    def with_head(self, head: list[TraceEntry]) -> Trace:
+        """This trace, its first ``len(head)`` entries read from ``head``,
+        which must be the ones this trace gives: an iteration starts one of
+        this trace, and so makes its entries again, only when read past them."""
+        def blocks() -> Iterator[Iterable[TraceEntry]]:
+            yield head
+            yield islice(self, len(head), None)
+
+        trace = Trace()
+        trace._length, trace._blocks = self._length, blocks
+        return trace
+
 
 def smpl(entries: Iterable[TraceEntry]) -> frozenset:
     """Natural numbers occurring in a trace prefix (padding excluded)."""

@@ -130,14 +130,25 @@ def theorem1_pair(
     direct_budget: int,
     sim_budget: int,
 ) -> tuple[EngineRun, EngineRun, bool]:
+    """Direct MinCEGIS and its simulation by the arbitrary oracle on one
+    trace, and whether they end on the same language with the same status.
+
+    The pair iterates ``trace`` once: the simulation runs on it, and the
+    direct run reads the entries the simulation's conjecture and probe
+    records hold, in order.  Those are every entry the direct run reads
+    unless ``sim_budget`` stopped the simulation first; only then does the
+    direct run go on from a fresh iteration of ``trace``, started when it
+    reads past them.
+    """
     stability_window = default_stability_window(target)
-    direct = run_engine(
-        MINCEGIS, target, trace, generalizer,
-        budget=direct_budget, stability_window=stability_window,
-    )
     sim = simulate_min_via_arbitrary(
         target, trace, generalizer,
         budget=sim_budget, stability_window=stability_window, direct_budget=direct_budget,
+    )
+    head = [r.entry for r in sim.iterations if r.event in ("conjecture", "probe")]
+    direct = run_engine(
+        MINCEGIS, target, trace.with_head(head), generalizer,
+        budget=direct_budget, stability_window=stability_window,
     )
     equal = semantically_equal(direct.final.language, sim.final.language)
     return direct, sim, equal and direct.status == sim.status

@@ -282,6 +282,8 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("run", "--family", "diagonal", "--target", "diag:40"),
     # A config line that is not key = value.
     ("run", "--config", "{tmp}/no-equals.cfg"),
+    # A fin: list nested past the recursion limit.
+    ("run", "--family", "diagonal", "--target", "fin:" + "[" * 3000 + "]" * 3000),
 ])
 def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "bad-budget.cfg").write_text("family = chain\ntarget = 5\nbudget = ten\n")
@@ -434,6 +436,8 @@ def test_seed_is_accepted_where_it_is_read(tmp_path, flags):
     ("broken.json", "{not json"),
     ("list.json", "[1,2]"),
     ("rows.json", '{"rows": 5}'),
+    # Nested past the recursion limit, where json.loads raises RecursionError.
+    pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, id="deep.json-100000-levels"),
 ])
 def test_table_bad_report_exits_1_with_a_message(tmp_path, capsys, name, content):
     path = tmp_path / name

@@ -2,13 +2,14 @@
 
 import pytest
 
-from cegis_lab import harness
+from cegis_lab import core, harness
 from cegis_lab.core import pair_encode, trace_generate
 from cegis_lab.engines import (
     BUDGET_EXHAUSTED,
     CEGIS,
     CONVERGED,
     HCEGIS,
+    MINCEGIS,
     SIMULATED_MINCEGIS,
     STALLED,
     VARIANTS,
@@ -142,8 +143,71 @@ def test_theorem1_pair_reads_a_long_trace_lazily():
     assert sim.iterations == s_sim.iterations
 
 
+def entries_made(monkeypatch) -> list[int]:
+    """From now on, the entries each iteration of a generated trace makes,
+    one count per iteration started (and RNG seeded), read or not."""
+    made: list[int] = []
+    blocks = core._blocks
+
+    def counted(*args):
+        made.append(0)
+        return counting(len(made) - 1, blocks(*args))
+
+    def counting(k, blocks):
+        for block in blocks:
+            made[k] += len(block)
+            yield block
+
+    monkeypatch.setattr(core, "_blocks", counted)
+    return made
+
+
+THEOREM1_PAIR_CHAIN = ChainFamily()
+THEOREM1_PAIR_RECT = RectangleFamily(grid_bound=6)
+
+
+@pytest.mark.parametrize("family,target,direct_budget,sim_budget,iterations", [
+    ("chain", 20, 300, 600, 1),
+    ("chain", 20, 10, 600, 1),  # the direct budget stops both runs
+    ("chain", 20, 300, 15, 2),  # the simulation stops after 15 entries, the direct run after 22
+    ("rectangle", (-2, 1, -1, 3), 400, 5000, 1),
+    ("rectangle", (-2, 1, -1, 3), 400, 40, 2),  # 40 entries against the direct run's 44
+])
+def test_theorem1_pair_runs_equal_the_runs_on_fresh_traces(
+        monkeypatch, family, target, direct_budget, sim_budget, iterations):
+    """Each run of the pair equals its engine's run on a fresh trace, record
+    for record, while the pair iterates its trace once; a second iteration
+    starts only where the direct run reads past the simulation."""
+    if family == "chain":
+        target, gen = THEOREM1_PAIR_CHAIN.language(target), chain_generalizer(THEOREM1_PAIR_CHAIN)
+    else:
+        target = THEOREM1_PAIR_RECT.language(*target)
+        gen = rectangle_generalizer(THEOREM1_PAIR_RECT)
+
+    def fresh():
+        return trace_generate(target, "padded-seeded", seed=5, length=5000)
+
+    made = entries_made(monkeypatch)
+    direct, sim, _ = theorem1_pair(target, gen, fresh(), direct_budget, sim_budget)
+    assert len(made) == iterations
+    window = default_stability_window(target)
+    assert direct == run_engine(MINCEGIS, target, fresh(), gen, budget=direct_budget,
+                                stability_window=window)
+    expected = simulate_min_via_arbitrary(target, fresh(), gen, budget=sim_budget,
+                                          stability_window=window, direct_budget=direct_budget)
+    assert sim[:-1] == expected[:-1]  # all but sim_state, whose cache has no ==
+    assert sim.sim_state[1:] == expected.sim_state[1:]
+
+
 # ---------------------------------------------------------------------------
 # Demos
+
+
+def test_demo_theorem1_makes_each_trace_entry_once(monkeypatch):
+    # One iteration per case: a second one, for the direct run, made 20,077.
+    made = entries_made(monkeypatch)
+    assert demo_theorem1().passed
+    assert (len(made), sum(made)) == (96, 16_378)
 
 
 def test_demo_theorem1_all_pairs_equal():
