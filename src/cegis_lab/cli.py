@@ -3,14 +3,14 @@
 Exit codes for ``run``: 0 converged with semantic match, 2 stalled (or
 converged on the wrong language), 3 budget exhausted, 1 an error.  ``demo``
 exits 0 iff the demo's expected conclusion holds.  An error prints one
-``error: ...`` line and exits 1: bad input (a flag, config
-key or value, or target that the command cannot use), a config file or
-report that cannot be read or is not UTF-8, an output directory (by
+``error: ...`` line and exits 1: bad input (a flag, config key or value, or
+target that the command cannot use, or a repeated config key), a config file
+or report that cannot be read or is not UTF-8, an output directory (by
 ``--out`` or ``CEGIS_LAB_LOG_DIR``) that cannot be made, or an engine error
-(the simulation stopped making progress, an oracle answer contradicted the
-engine, or the probe budget ran out).  Bad input raises ValueError, a file
-that cannot be read or made OSError, and an engine fault EngineError;
-``main`` alone turns each into the message.
+(a replay that consumes no entry: the cache lost a verdict; an oracle answer
+contradicted the engine; or the probe budget ran out).  Bad input raises
+ValueError, a file that cannot be read or made OSError, and an engine fault
+EngineError; ``main`` alone turns each into the message.
 """
 from __future__ import annotations
 
@@ -62,7 +62,10 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip().strip('"').strip("'")
+        key = key.strip()
+        if key in values:  # TOML forbids a repeated key too
+            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+        values[key] = value.strip().strip('"').strip("'")
     return values
 
 

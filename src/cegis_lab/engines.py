@@ -9,7 +9,6 @@ engine variants so that only the verifier changes between experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -38,8 +37,8 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 class EngineError(RuntimeError):
-    """An engine fault: the simulation stopped making progress, an oracle
-    answer contradicted the engine's state, or the probe budget ran out."""
+    """An engine fault: a replay that consumes no entry (the cache lost a
+    verdict), an oracle answer contradicting the engine, or too many probes."""
 
 
 # The most probes one HCEGIS run may ask; read when a probe runs.
@@ -449,6 +448,8 @@ def simulate_min_via_arbitrary(
     the direct MinCEGIS run: the simulation reads the entries that run reads
     and stops where it stops, also where ``direct_budget``, that run's
     budget (None: unbounded), stops it, with the status it has there.
+    Each micro-step caches the verdict the replay reads first, so a replay
+    that consumes no entry means the cache lost a verdict: an EngineError.
     """
     strategy = strategy or CexStrategy()
     if direct_budget is not None:  # the direct run reads at most this many entries
@@ -458,13 +459,12 @@ def simulate_min_via_arbitrary(
 
     base = generalizer.initial.language
     order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
-    # Progress invariant: between extensions of the consumed prefix the
-    # simulation can spend at most one full probe sweep plus overhead.
-    guard = len(order) + 2
 
     lce = LceMap()
-    p_last = generalizer.initial
-    mu: Optional[int] = None  # probes of a sweep cut short; {order[mu]} & p_last is pending
+    # Where the simulation stands: p_last, or {order[mu]} & p_last when the
+    # budget cut a sweep short after mu probes.
+    p_last = p_sim = generalizer.initial
+    mu = 0
     backlog: list[TraceEntry] = []
     tau_done = 0
 
@@ -472,25 +472,21 @@ def simulate_min_via_arbitrary(
     records = tally.records
     # The simulated direct run: its streak and counterexample count, no queries.
     direct = _Tally(target, stability_window)
-    progress_at = 0  # the last micro-step whose replay extended the consumed prefix
+    ruled_by = None
 
     stream = zip(range(1, limit + 1), trace)
     for m, entry in stream:
         backlog.append(entry)
-        if m - progress_at > guard:
-            raise EngineError("simulation stopped making progress")
-
         cex = check(p_last.language, target, strategy)
         tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
         if cex is None:  # Case 1.2
             lce.set(p_last, None)
         elif lce.get(p_last) is _TOP:
-            # Case 1.1.2 sweeps for the minimum (in Case 1.1.1 it is cached):
-            # each probe reads an entry, and the guard allows this many more.
+            # Case 1.1.2 sweeps for the minimum, a probe per entry (Case 1.1.1 has it cached).
             lang = p_last.language
             mask, bound, ordering = lang.mask, lang.universe_bound, lang.ordering
             label, start, cex = lang.descriptor + "&{", len(records), None
-            for k, (m, entry) in zip(islice(order, guard - (m - progress_at)), stream):
+            for k, (m, entry) in zip(order, stream):
                 backlog.append(entry)
                 descriptor = f"{label}{k}}}"
                 probe = _new_tuple(Language, (mask & 1 << k, bound, descriptor, ordering))
@@ -503,8 +499,10 @@ def simulate_min_via_arbitrary(
             if cex is None:
                 if probes == len(order):
                     raise EngineError("probe sweep exhausted the universe without a counterexample")
-                mu = probes  # cut short by the budget, or by the guard on the next entry
-                continue
+                mu, k = probes, order[probes]  # the budget cut the sweep short
+                probe = _new_tuple(Language, (mask & 1 << k, bound, f"{label}{k}}}", ordering))
+                p_sim = Program(p_last.family, ("probe", k), probe)
+                break
             # Case 2.1: the probe's sole element is the minimal counterexample.
             tally.cex_count += 1
             lce.set(p_last, cex)
@@ -522,26 +520,21 @@ def simulate_min_via_arbitrary(
             prog = direct.iterate(tau_done + consumed, e, prog, value, step, None)
             if direct.stopped or tau_done + consumed == direct_budget:
                 break
+        if not consumed:  # each case above cached p_last's verdict: the cache lost it
+            raise EngineError("simulation stopped making progress")
         del backlog[:consumed]
         tau_done += consumed
-        if consumed:
-            progress_at = m
         changed = prog.language.mask != p_last.language.mask
         tally.settle(m, changed, cex)
         # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:
             records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
-        p_last = prog
+        p_last = p_sim = prog
         if direct.stopped or tau_done == direct_budget:
+            # Ended where the direct run stops, it is classified as that run.
+            ruled_by = (direct, tau_done)
             break
 
-    p_sim = p_last  # but a run cut mid-sweep reports its pending probe
-    if mu is not None:
-        k, lang = order[mu], p_last.language
-        probe = lang._replace(mask=lang.mask & 1 << k, descriptor=f"{lang.descriptor}&{{{k}}}")
-        p_sim = Program(p_last.family, ("probe", k), probe)
     return tally.finish(
-        p_last, sim_state=SimState(lce, p_sim, mu or 0, tuple(backlog), tau_done),
-        # Ended where the direct run stops, it is classified as that run.
-        ruled_by=(direct, tau_done) if direct.stopped or tau_done == direct_budget else None,
+        p_last, sim_state=SimState(lce, p_sim, mu, tuple(backlog), tau_done), ruled_by=ruled_by,
     )

@@ -325,6 +325,16 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     assert "unknown key budgett" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_named(tmp_path):
+    # TOML forbids a repeated key; keeping the last value would run chain[7].
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = chain\ntarget = 5\ntarget = 7\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = invoke(["run", "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout, stderr) == (1, "", f"error: {cfg}:3: duplicate key target\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family,bound,target,least", [
     ("chain", "1", "0", 2),
     ("gold", "-3", "full", 0),
@@ -357,6 +367,14 @@ def test_generalizer_flag_is_gone(tmp_path, capsys):
 def test_unparsable_flag_exits_1_not_the_stalled_code(tmp_path, capsys):
     assert run_cli(*CHAIN5, "--budget", "ten", "--out", str(tmp_path)) == 1
     assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (("--help",), "usage: cegis-lab [-h]"), (("run", "--help"), "usage: cegis-lab run [-h]"),
+])
+def test_help_exits_0_with_the_usage_on_stdout(argv, usage):
+    code, stdout, stderr = invoke(list(argv))
+    assert code == 0 and stderr == "" and stdout.startswith(usage)
 
 
 def test_chain_universe_bound_is_used(tmp_path):
@@ -556,6 +574,9 @@ def inject(defect, setting, draw):
         extra = [draw(st.sampled_from(("budgett = 3", "out = elsewhere", "generalizer = chain")))]
     elif defect == "config-line-without-equals":
         extra = [draw(st.sampled_from(("target 5", "family", "seed: 3")))]
+    elif defect == "config-duplicate-key":
+        key = draw(st.sampled_from(sorted(setting)))
+        extra = [f"{key} = {setting[key]}"]
     elif defect == "config-not-utf8":
         extra = ["# caf\udce9"]  # written back as the single byte 0xe9
     elif defect == "bound-out-of-range":
@@ -579,8 +600,8 @@ def inject(defect, setting, draw):
 DEFECTS = (
     "unknown-engine", "unknown-schedule", "unknown-strategy", "strategy-without-check",
     "consistent-avoiding", "unused-seed", "budget", "unknown-config-key",
-    "config-line-without-equals", "config-not-utf8", "bound-out-of-range",
-    "rectangle-with-bound", "malformed-target", "out-is-a-file",
+    "config-line-without-equals", "config-duplicate-key", "config-not-utf8",
+    "bound-out-of-range", "rectangle-with-bound", "malformed-target", "out-is-a-file",
 )
 
 

@@ -286,13 +286,35 @@ def test_hcegis_fin_reconstruction():
 
 
 def test_cegis_fin_forgets_small_members():
-    # Without the probe channel the learner keeps only the largest code.
+    # Without the probe channel the learner keeps only the largest code.  In
+    # the second run diag[1] is refuted nine times before it changes: each
+    # refutation resets the stability streak, so a window of 3 does not stop
+    # the run there, and it reads on to <1, 20>.
     fam = DiagonalFamily()
-    target = fam.fin_language({(0, 2), (1, 7)})
-    run = run_engine(CEGIS, target, trace_generate(target, "canonical", length=80),
-                     diag_generalizer(fam), budget=80)
-    assert not run.semantic_match
-    assert run.final.language.members() == {pair_encode(1, 7)}
+    for pairs, top, length, window, counts in (
+        ({(0, 2), (1, 7)}, (1, 7), 80, 10, None),
+        ({(0, n) for n in range(1, 11)} | {(1, 20)}, (1, 20), 40, 3, (14, 10)),
+    ):
+        target = fam.fin_language(pairs)
+        run = run_engine(CEGIS, target, trace_generate(target, "canonical", length=length),
+                         diag_generalizer(fam), budget=length, stability_window=window)
+        assert not run.semantic_match
+        assert run.final.language.members() == {pair_encode(*top)}
+        assert counts in (None, (run.queries, run.cex_count))
+
+
+@pytest.mark.parametrize("engine", [CEGIS, POSITIVE_ONLY, SIMULATED_MINCEGIS])
+def test_a_correct_run_cut_before_its_window_converges(engine):
+    # A budget of 5 ends the run before its window of 10: a correct
+    # conjecture unrefuted for the whole run has converged, at iteration 0.
+    fam = GoldFamily()
+    target, gen = fam.full_language(), gold_generalizer(fam)
+    trace = trace_generate(target, "canonical", length=5)
+    if engine == SIMULATED_MINCEGIS:
+        run = simulate_min_via_arbitrary(target, trace, gen, budget=5)
+    else:
+        run = run_engine(engine, target, trace, gen, budget=5)
+    assert (run.status, run.converged_at, run.queries) == (CONVERGED, 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +547,21 @@ def test_theorem1_pair_simulation_stops_at_the_direct_budget():
     assert wrong == []
 
 
+def test_the_simulation_logs_a_replay_after_every_counterexample():
+    # The counterexample at micro-step 5 leaves diag[0] as it is; its replay
+    # is logged all the same, as the micro-step loop logs it.
+    fam = DiagonalFamily()
+    target = fam.fin_language({(0, 0), (0, 3), (0, 6), (0, 7), (0, 12), (0, 14), (0, 15),
+                               (0, 16), (1, 13)})
+    gen, window = diag_generalizer(fam), default_stability_window(target)
+    trace = trace_generate(target, "canonical", length=600)
+    new = simulate_min_via_arbitrary(target, trace, gen, budget=600, stability_window=window)
+    ref = simulate_by_index(target, trace, gen, budget=600, stability_window=window)
+    assert run_jsonl(new) == run_jsonl(ref)
+    replays = [(r.iteration, r.candidate) for r in new.iterations if r.event == "replay"]
+    assert replays[:2] == [(1, "diag[0]"), (5, "diag[0]")] and len(replays) == 6
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     case=theorem1_targets(),
@@ -755,8 +792,8 @@ def test_chain_learner_identifies_its_top_target():
 
 
 def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
-    # A cache that never answers: every replay consumes nothing, so the
-    # simulation sweeps forever unless the guard stops it.
+    # A cache that never answers: the first replay, after the first sweep,
+    # consumes no entry, and the simulation stops there.
     monkeypatch.setattr(LceMap, "get", lambda self, program: _TOP)
     fam = GoldFamily(bound=8)
     target = fam.minus_language(3)

@@ -298,6 +298,15 @@ def test_demo_gold():
     assert ablations and all(r.status == STALLED for r in ablations)
 
 
+def test_demo_gold_at_a_budget_below_the_window():
+    # Each gold[full] run ends at budget 5, before its window of 10: it is
+    # correct and unrefuted throughout, so it has converged.
+    report = demo_gold(budget=5)
+    assert report.passed
+    full = [r for r in report.rows if r.target == "gold[full]"]
+    assert len(full) == 2 and all(r.status == CONVERGED for r in full)
+
+
 def test_demo_rectangle():
     report = demo_rectangle()
     assert report.passed
