@@ -234,6 +234,8 @@ def trace_generate(
         raise ValueError(f"unknown schedule: {schedule}")
     if length < 0:
         raise ValueError(f"trace length must be nonnegative, got {length}")
+    if seed < 0:  # random.Random seeds from |seed|, so -s would quietly run as s
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if length == 0:
         return Trace()
     members = bits(language.mask)

@@ -44,6 +44,10 @@ class EngineError(RuntimeError):
 # The most probes one HCEGIS run may ask; read when a probe runs.
 PROBE_CAP = 100_000
 
+# The strategy of a run that names none: first-found.  CexStrategy holds no
+# state between calls, so every run can share this one.
+_DEFAULT_STRATEGY = CexStrategy()
+
 
 ProbeFn = Callable[[Language], Optional[int]]
 StepFn = Callable[[Program, TraceEntry, Optional[int], Optional[ProbeFn]], Program]
@@ -63,12 +67,17 @@ class IterationRecord(NamedTuple):
     event: str  # conjecture | probe | replay | freeze
 
 
-# Tuples built once per micro-step or per step are built with
+# Tuples built once per micro-step, step or run are built with
 # tuple.__new__(Cls, fields), which takes every field, defaults included:
-# the records and probes, and the programs, languages and aux values of the
-# chain and rectangle steps.  The __new__ that NamedTuple generates is a
-# Python-level function, a frame of its own: on CPython 3.11.7 (x86-64) it
-# took 340-470 ns per tuple, against 180-220 ns for tuple.__new__.
+# - every IterationRecord (conjecture, probe, replay and freeze);
+# - the simulation's probe languages and its SimState;
+# - the EngineRun that _Tally.finish returns;
+# - the programs and languages of the chain and rectangle steps, and the
+#   rectangle step's RectAux (the chain step reuses two FrozenAux values).
+# The __new__ that NamedTuple generates is a Python-level function, a frame
+# of its own: on CPython 3.11.7 (x86-64) it took about 330 ns for a
+# five-field record and 400-440 ns for an EngineRun, against about 140 ns
+# and 220-230 ns for tuple.__new__.
 _new_tuple = tuple.__new__
 
 
@@ -137,7 +146,8 @@ class _Tally:
         self.settle(i, changed, cex)
         frozen = getattr(current.aux, "frozen", False)
         if frozen:
-            self.records.append(IterationRecord(i, entry, current.descriptor(), None, "freeze"))
+            record = (i, entry, current.language.descriptor, None, "freeze")
+            self.records.append(_new_tuple(IterationRecord, record))
         self.stopped = frozen or self.streak >= self.window and (
             self.cex_count > 0 or semantically_equal(current.language, self.target))
         return current
@@ -161,11 +171,11 @@ class _Tally:
             status = CONVERGED
         else:
             status = BUDGET_EXHAUSTED
-        return EngineRun(
+        return _new_tuple(EngineRun, (
             self.records, final, status,
             self.last_change if status == CONVERGED else None,
             self.queries, probes, self.cex_count, self.window, match, sim_state,
-        )
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +200,7 @@ def run_engine(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown engine variant: {variant}")
-    strategy = strategy or CexStrategy()
+    strategy = strategy or _DEFAULT_STRATEGY
     limit = min(budget, len(trace))
 
     tally = _Tally(target, stability_window)
@@ -223,7 +233,7 @@ def run_engine(
                 history = (entry,)
         else:  # positive-only ablation: the counterexample channel is cut
             cex = None
-        tally.query(i, entry, prev.descriptor(), cex, "conjecture")
+        tally.query(i, entry, prev.language.descriptor, cex, "conjecture")
         current = tally.iterate(i, entry, prev, cex, generalizer.step, probe)
         if tally.stopped:
             break
@@ -246,9 +256,8 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
     bound = family.universe_bound
     climbing, frozen = FrozenAux(False), FrozenAux(True)
 
-    def make(i: int, aux: FrozenAux, mask: Optional[int] = None) -> Program:
-        mask = (1 << min(i, bound) + 1) - 1 if mask is None else mask
-        language = _new_tuple(Language, (mask, bound, f"chain[{i}]", None))
+    def make(i: int, aux: FrozenAux) -> Program:
+        language = _new_tuple(Language, ((1 << min(i, bound) + 1) - 1, bound, f"chain[{i}]", None))
         return _new_tuple(Program, ("chain", i, language, aux))
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
@@ -259,9 +268,14 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
             if j == 0:
                 raise EngineError("counterexample against chain[0]")
             return make(j - 1, frozen)
-        # Past B every mask is [0, B]'s: reusing prev's int object lets the
-        # engine loop compare the two masks in O(1) rather than O(B).
-        return make(j + 1, climbing, prev.language.mask if j >= bound else None)
+        # The climb is the step taken on every unrefuted query, so it builds
+        # its program inline, without a call to make.  Past B every mask is
+        # [0, B]'s: reusing prev's int object lets the engine loop compare
+        # the two masks in O(1) rather than O(B).
+        j += 1
+        mask = prev.language.mask if j > bound else (1 << j + 1) - 1
+        language = _new_tuple(Language, (mask, bound, f"chain[{j}]", None))
+        return _new_tuple(Program, ("chain", j, language, climbing))
 
     return Generalizer(make(0, climbing), step)
 
@@ -451,7 +465,7 @@ def simulate_min_via_arbitrary(
     Each micro-step caches the verdict the replay reads first, so a replay
     that consumes no entry means the cache lost a verdict: an EngineError.
     """
-    strategy = strategy or CexStrategy()
+    strategy = strategy or _DEFAULT_STRATEGY
     if direct_budget is not None:  # the direct run reads at most this many entries
         direct_budget = max(min(direct_budget, len(trace)), 0)
     limit = 0 if direct_budget == 0 else min(budget, len(trace))
@@ -478,7 +492,7 @@ def simulate_min_via_arbitrary(
     for m, entry in stream:
         backlog.append(entry)
         cex = check(p_last.language, target, strategy)
-        tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
+        tally.query(m, entry, p_last.language.descriptor, cex, "conjecture")
         if cex is None:  # Case 1.2
             lce.set(p_last, None)
         elif lce.get(p_last) is _TOP:
@@ -528,13 +542,13 @@ def simulate_min_via_arbitrary(
         tally.settle(m, changed, cex)
         # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:
-            records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
+            record = (m, None, prog.language.descriptor, None, "replay")
+            records.append(_new_tuple(IterationRecord, record))
         p_last = p_sim = prog
         if direct.stopped or tau_done == direct_budget:
             # Ended where the direct run stops, it is classified as that run.
             ruled_by = (direct, tau_done)
             break
 
-    return tally.finish(
-        p_last, sim_state=SimState(lce, p_sim, mu, tuple(backlog), tau_done), ruled_by=ruled_by,
-    )
+    sim_state = _new_tuple(SimState, (lce, p_sim, mu, tuple(backlog), tau_done))
+    return tally.finish(p_last, sim_state=sim_state, ruled_by=ruled_by)

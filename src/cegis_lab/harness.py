@@ -145,7 +145,9 @@ def theorem1_pair(
         target, trace, generalizer,
         budget=sim_budget, stability_window=stability_window, direct_budget=direct_budget,
     )
-    head = [r.entry for r in sim.iterations if r.event in ("conjecture", "probe")]
+    # The simulation's own tally logs no freeze (its direct tally does), so
+    # every record but a replay is a conjecture or a probe.
+    head = [r.entry for r in sim.iterations if r.event != "replay"]
     direct = run_engine(
         MINCEGIS, target, trace.with_head(head), generalizer,
         budget=direct_budget, stability_window=stability_window,

@@ -1,10 +1,12 @@
 """Brute-force references the tests check the package against, kept out of
 ``src`` because nothing in the package reads them."""
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from cegis_lab.core import (
+    BOT,
     Language,
+    Ordering,
     Program,
     Trace,
     TraceEntry,
@@ -85,6 +87,39 @@ def ordering_key(language: Language):
     """Sort key of the language's element ordering; the natural order when it
     declares none."""
     return (lambda n: n) if language.ordering is None else language.ordering.key
+
+
+def finite_family(masks: Sequence[int], bound: int, order: Sequence[int]) -> list[Language]:
+    """A finite family over [0, bound]: one language per mask, labelled
+    ``L<i>``, all sharing the element ordering that lists ``order`` (a
+    permutation of [0, bound]) least first."""
+    rank = {e: r for r, e in enumerate(order)}
+    ordering = Ordering(rank.__getitem__, bound)
+    return [Language(mask, bound, f"L{i}", ordering) for i, mask in enumerate(masks)]
+
+
+def enumeration_generalizer(languages: Sequence[Language]) -> Generalizer:
+    """Gold's identification by enumeration (E. M. Gold, "Language
+    Identification in the Limit", 1967): conjecture the first language of
+    the list that contains every positive example seen and no counterexample
+    seen.  A program's aux is that (positives, counterexamples) pair of
+    bitmasks; the index is the language's place in the list."""
+
+    def conjecture(seen: int, refuted: int) -> Program:
+        for i, lang in enumerate(languages):
+            if lang.mask & seen == seen and not lang.mask & refuted:
+                return Program("enumeration", i, lang, (seen, refuted))
+        raise EngineError("no language of the family is consistent with the examples")
+
+    def step(prev: Program, entry, cex, probe=None) -> Program:
+        seen, refuted = prev.aux
+        if entry is not BOT:
+            seen |= 1 << entry
+        if cex is not None:
+            refuted |= 1 << cex
+        return conjecture(seen, refuted)
+
+    return Generalizer(conjecture(0, 0), step)
 
 
 def lce_items(lce) -> list:

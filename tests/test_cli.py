@@ -568,6 +568,10 @@ def inject(defect, setting, draw):
         if draw(st.booleans()):
             setting["schedule"] = "canonical"
         setting["seed"] = str(draw(st.integers(0, 99)))
+    elif defect == "negative-seed":
+        if setting.get("schedule") not in SEEDED and setting.get("strategy") != "seeded-random":
+            setting["schedule"] = draw(st.sampled_from(SEEDED))  # else the seed is unused
+        setting["seed"] = str(draw(st.integers(-99, -1)))
     elif defect == "budget":
         setting["budget"] = str(draw(st.sampled_from((0, -1, -40, sys.maxsize + 1, 10**20))))
     elif defect == "unknown-config-key":
@@ -599,7 +603,7 @@ def inject(defect, setting, draw):
 
 DEFECTS = (
     "unknown-engine", "unknown-schedule", "unknown-strategy", "strategy-without-check",
-    "consistent-avoiding", "unused-seed", "budget", "unknown-config-key",
+    "consistent-avoiding", "unused-seed", "negative-seed", "budget", "unknown-config-key",
     "config-line-without-equals", "config-duplicate-key", "config-not-utf8",
     "bound-out-of-range", "rectangle-with-bound", "malformed-target", "out-is-a-file",
 )

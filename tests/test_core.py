@@ -189,6 +189,16 @@ def test_trace_zero_length():
             trace_generate(fam.language(3), schedule, seed=5, length=-1)
 
 
+def test_trace_rejects_a_negative_seed():
+    # random.Random(-3) seeds as random.Random(3), so a negative seed would
+    # quietly give the trace of its absolute value.
+    fam = ChainFamily()
+    for schedule in ("canonical", "seeded-random", "padded-seeded"):
+        for length in (0, 5):
+            with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+                trace_generate(fam.language(3), schedule, seed=-3, length=length)
+
+
 def test_trace_entries_are_members_or_bot():
     fam = ChainFamily()
     l5 = fam.language(5)

@@ -53,7 +53,8 @@ from cegis_lab.verifiers import (
     mincheck,
 )
 from reference import (
-    explicit_language, lce_items, ordering_key, rectangle_shrink, simulate_by_index,
+    enumeration_generalizer, explicit_language, finite_family, lce_items, ordering_key,
+    rectangle_shrink, simulate_by_index,
 )
 
 
@@ -477,8 +478,8 @@ def theorem1_targets(draw):
     return "gold", THEOREM1_GOLD.full_language() if i < 0 else THEOREM1_GOLD.minus_language(i)
 
 
-def _theorem1_runs(gen, target, kind, schedule, seed, direct_budget=None):
-    length = 40 * (target.universe_bound + 1)
+def _theorem1_runs(gen, target, kind, schedule, seed, direct_budget=None, length=None):
+    length = length or 40 * (target.universe_bound + 1)
     trace = trace_generate(target, schedule, seed=seed, length=length)
     window = default_stability_window(target)
     direct = run_engine(MINCEGIS, target, trace, gen, budget=direct_budget or length,
@@ -518,6 +519,39 @@ def test_theorem1_simulation_equals_direct_mincegis(case, kind, schedule, seed, 
     for member_set, value in lce_items(sim.sim_state.lce):
         lang = target._replace(mask=sum(1 << m for m in member_set), descriptor="cached")
         assert mincheck(lang, target) == value
+
+
+@st.composite
+def finite_families(draw):
+    """A generated finite family (n distinct random masks over [0, B] that
+    share one random element ordering), its enumeration learner and a
+    target drawn from it."""
+    bound = draw(st.integers(0, 40))
+    masks = draw(st.lists(st.integers(0, (1 << bound + 1) - 1), min_size=1, max_size=12,
+                          unique=True))
+    languages = finite_family(masks, bound, draw(st.permutations(range(bound + 1))))
+    return enumeration_generalizer(languages), len(languages), draw(st.sampled_from(languages))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=finite_families(),
+    kind=st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX]),
+    schedule=st.sampled_from(["canonical", "seeded-random", "padded-seeded"]),
+    seed=st.integers(0, 2**16),
+    direct_budget=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_theorem1_over_generated_finite_families(case, kind, schedule, seed, direct_budget):
+    """Theorem 1 over families that no one wrote by hand: with Gold's
+    enumeration learner, the simulation by the arbitrary oracle ends on the
+    language direct MinCEGIS ends on, with the same status."""
+    gen, n, target = case
+    if schedule == "canonical" and not target.mask:
+        schedule = "padded-seeded"  # the canonical schedule needs a member
+    length = 40 * (target.universe_bound + 1) * n
+    direct, sim = _theorem1_runs(gen, target, kind, schedule, seed, direct_budget, length)
+    assert semantically_equal(direct.final.language, sim.final.language)
+    assert direct.status == sim.status
 
 
 def test_theorem1_simulation_stops_where_direct_mincegis_stops():

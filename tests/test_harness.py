@@ -119,6 +119,22 @@ def test_theorem1_pair_chain():
     assert direct.status == sim.status == CONVERGED
 
 
+def test_the_simulation_logs_no_freeze():
+    # theorem1_pair hands the direct run the entries of every simulation
+    # record but the replays.  That is the conjecture and probe entries only
+    # because the simulation's own tally logs no freeze: the freezes of the
+    # run it replays go to its direct tally.
+    chain, gold = ChainFamily(), GoldFamily(bound=12)
+    cases = [(chain_generalizer(chain), chain.language(i)) for i in range(8)]
+    cases += [(gold_generalizer(gold), gold.minus_language(i)) for i in range(0, 13, 3)]
+    for gen, target in cases:
+        trace = trace_generate(target, "padded-seeded", seed=11, length=600)
+        direct, sim, equal = theorem1_pair(target, gen, trace, 300, 600)
+        assert equal and direct.status == sim.status == CONVERGED
+        assert direct.iterations[-1].event == "freeze"
+        assert {r.event for r in sim.iterations} == {"conjecture", "probe", "replay"}
+
+
 def test_theorem1_pair_degenerate_target():
     fam = RectangleFamily()
     target = fam.universal_language()
