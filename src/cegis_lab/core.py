@@ -184,11 +184,6 @@ class Trace:
         return trace
 
 
-def smpl(entries: Iterable[TraceEntry]) -> frozenset:
-    """Natural numbers occurring in a trace prefix (padding excluded)."""
-    return frozenset(e for e in entries if e is not BOT)
-
-
 class Program(NamedTuple):
     """An index into a candidate space plus bounded engine-owned state.
 
@@ -196,7 +191,6 @@ class Program(NamedTuple):
     ``aux`` never participates in identity.
     """
 
-    family: str
     index: object
     language: Language
     aux: object = None

@@ -21,7 +21,7 @@ from .core import (
     semantically_equal,
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from .verifiers import CexStrategy, check, hcheck, mincheck
+from .verifiers import FIRST_FOUND_STRATEGY, CexStrategy, check, hcheck, mincheck
 
 CEGIS = "cegis"
 MINCEGIS = "mincegis"
@@ -43,10 +43,6 @@ class EngineError(RuntimeError):
 
 # The most probes one HCEGIS run may ask; read when a probe runs.
 PROBE_CAP = 100_000
-
-# The strategy of a run that names none: first-found.  CexStrategy holds no
-# state between calls, so every run can share this one.
-_DEFAULT_STRATEGY = CexStrategy()
 
 
 ProbeFn = Callable[[Language], Optional[int]]
@@ -72,8 +68,9 @@ class IterationRecord(NamedTuple):
 # - every IterationRecord (conjecture, probe, replay and freeze);
 # - the simulation's probe languages and its SimState;
 # - the EngineRun that _Tally.finish returns;
-# - the programs and languages of the chain and rectangle steps, and the
-#   rectangle step's RectAux (the chain step reuses two FrozenAux values).
+# - the programs and languages of the chain, rectangle and diagonal steps,
+#   the diagonal learner's probe languages, and the rectangle and diagonal
+#   steps' RectAux and DiagAux (the chain step reuses two FrozenAux values).
 # The __new__ that NamedTuple generates is a Python-level function, a frame
 # of its own: on CPython 3.11.7 (x86-64) it took about 330 ns for a
 # five-field record and 400-440 ns for an EngineRun, against about 140 ns
@@ -111,19 +108,31 @@ def default_budget(target: Language) -> int:
 
 
 class _Tally:
-    """The bookkeeping both engine loops share: the records, the query and
-    counterexample counts, the stability streak, the stop rule that sets
+    """The bookkeeping of one run, shared by both engine loops: the learner
+    step and the probe oracle it is handed, the records, the query, probe
+    and counterexample counts, the stability streak, the stop rule that sets
     ``stopped``, and the one rule that classifies a finished run."""
 
-    def __init__(self, target: Language, window: int):
+    def __init__(self, target: Language, window: int, step: StepFn,
+                 probe: Optional[ProbeFn] = None):
         self.target = target
         self.window = window
+        self.step = step
+        self.oracle = probe
+        self.probe = None if probe is None else self._probe  # counted and capped
         self.records: list[IterationRecord] = []
         self.queries = 0
+        self.probes = 0
         self.cex_count = 0
         self.streak = 0
         self.last_change = 0
         self.stopped = False
+
+    def _probe(self, lang: Language) -> Optional[int]:
+        self.probes += 1
+        if self.probes > PROBE_CAP:
+            raise EngineError(f"more than {PROBE_CAP} probes")
+        return self.oracle(lang)
 
     def query(self, i: int, entry: TraceEntry, candidate: str, cex: Optional[int], event: str):
         self.records.append(_new_tuple(IterationRecord, (i, entry, candidate, cex, event)))
@@ -135,13 +144,12 @@ class _Tally:
             self.last_change = i
         self.streak = 0 if changed or cex is not None else self.streak + 1
 
-    def iterate(self, i: int, entry: TraceEntry, prev: Program, cex: Optional[int],
-                step: StepFn, probe: Optional[ProbeFn]) -> Program:
+    def iterate(self, i: int, entry: TraceEntry, prev: Program, cex: Optional[int]) -> Program:
         """Iteration i of a direct run after its query: apply F, settle the
         streak, log a freeze, and stop on a frozen conjecture or on one
         unrefuted for the whole window and either refuted once before or
         right (a run never refuted has learned nothing from it)."""
-        current = step(prev, entry, cex, probe)
+        current = self.step(prev, entry, cex, self.probe)
         changed = current is not prev and current.language.mask != prev.language.mask
         self.settle(i, changed, cex)
         frozen = getattr(current.aux, "frozen", False)
@@ -153,7 +161,7 @@ class _Tally:
         return current
 
     def finish(
-        self, final: Program, probes: int = 0, sim_state: Optional[SimState] = None,
+        self, final: Program, sim_state: Optional[SimState] = None,
         ruled_by: Optional[tuple[_Tally, int]] = None,
     ) -> EngineRun:
         match = semantically_equal(final.language, self.target)
@@ -174,7 +182,7 @@ class _Tally:
         return _new_tuple(EngineRun, (
             self.records, final, status,
             self.last_change if status == CONVERGED else None,
-            self.queries, probes, self.cex_count, self.window, match, sim_state,
+            self.queries, self.probes, self.cex_count, self.window, match, sim_state,
         ))
 
 
@@ -200,26 +208,19 @@ def run_engine(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown engine variant: {variant}")
-    strategy = strategy or _DEFAULT_STRATEGY
+    strategy = strategy or FIRST_FOUND_STRATEGY
     limit = min(budget, len(trace))
-
-    tally = _Tally(target, stability_window)
-    current = generalizer.initial
     # hcheck depends on a history only through its largest sample, so the
     # history handed to it is (largest non-BOT entry read so far,) or ().
     history: tuple[int, ...] = ()
-    probes = 0
 
     def hprobe(lang: Language) -> Optional[int]:
         # Called only from the step, after this iteration's history update.
-        nonlocal probes
-        probes += 1
-        if probes > PROBE_CAP:
-            raise EngineError(f"more than {PROBE_CAP} probes")
         return hcheck(lang, target, history)
 
-    probe = hprobe if variant == HCEGIS else None
-
+    tally = _Tally(target, stability_window, generalizer.step,
+                   hprobe if variant == HCEGIS else None)
+    current = generalizer.initial
     for i, entry in zip(range(1, limit + 1), trace):
         prev = current
 
@@ -234,11 +235,11 @@ def run_engine(
         else:  # positive-only ablation: the counterexample channel is cut
             cex = None
         tally.query(i, entry, prev.language.descriptor, cex, "conjecture")
-        current = tally.iterate(i, entry, prev, cex, generalizer.step, probe)
+        current = tally.iterate(i, entry, prev, cex)
         if tally.stopped:
             break
 
-    return tally.finish(current, probes)
+    return tally.finish(current)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
 
     def make(i: int, aux: FrozenAux) -> Program:
         language = _new_tuple(Language, ((1 << min(i, bound) + 1) - 1, bound, f"chain[{i}]", None))
-        return _new_tuple(Program, ("chain", i, language, aux))
+        return _new_tuple(Program, (i, language, aux))
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
         if prev.aux.frozen:
@@ -275,7 +276,7 @@ def chain_generalizer(family: ChainFamily) -> Generalizer:
         j += 1
         mask = prev.language.mask if j > bound else (1 << j + 1) - 1
         language = _new_tuple(Language, (mask, bound, f"chain[{j}]", None))
-        return _new_tuple(Program, ("chain", j, language, climbing))
+        return _new_tuple(Program, (j, language, climbing))
 
     return Generalizer(make(0, climbing), step)
 
@@ -298,7 +299,7 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
     def make(bounds: tuple[int, int, int, int], hull) -> Program:
         ax, bx, ay, by = bounds
         aux = _new_tuple(RectAux, (hull,))
-        return _new_tuple(Program, ("rectangle", bounds, family.language(ax, bx, ay, by), aux))
+        return _new_tuple(Program, (bounds, family.language(ax, bx, ay, by), aux))
 
     def shrink(bounds, hull, xc: int, yc: int):
         ax, bx, ay, by = bounds
@@ -341,7 +342,7 @@ def rectangle_generalizer(family: RectangleFamily) -> Generalizer:
             if hull == prev.aux.hull:
                 return prev
             aux = _new_tuple(RectAux, (hull,))
-            return _new_tuple(Program, ("rectangle", bounds, prev.language, aux))
+            return _new_tuple(Program, (bounds, prev.language, aux))
         return make(bounds, hull)
 
     return Generalizer(make((-g, g, -g, g), None), step)
@@ -370,15 +371,16 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
     def recset_program(aux: DiagAux) -> Program:
         members = sorted(aux.recovered | {aux.x_max})
         label = ",".join(map(str, members))
-        lang = Language(sum(1 << m for m in members), bound, f"recset[{label}]")
-        return Program("diagonal", ("recset", tuple(members)), lang, aux)
+        mask = sum(1 << m for m in members)
+        lang = _new_tuple(Language, (mask, bound, f"recset[{label}]", None))
+        return _new_tuple(Program, (("recset", tuple(members)), lang, aux))
 
     def reconstruct(x_max: int, probe: Optional[ProbeFn]) -> frozenset:
         if probe is None:
             return frozenset()
         found = []
         for x in range(x_max):
-            if probe(Language(1 << x, bound, f"probe[{x}]")) is None:
+            if probe(_new_tuple(Language, (1 << x, bound, f"probe[{x}]", None))) is None:
                 found.append(x)
         return frozenset(found)
 
@@ -390,12 +392,13 @@ def diag_generalizer(family: DiagonalFamily) -> Generalizer:
         if aux.x_max is None and j == 0:  # mode A
             if aux.min_j is not None and n >= aux.min_j:
                 return prev
-            return Program("diagonal", ("diag", n), family.diag_language(n), DiagAux(n))
+            aux = _new_tuple(DiagAux, (n, None, frozenset()))
+            return _new_tuple(Program, (("diag", n), family.diag_language(n), aux))
         if aux.x_max is not None and entry <= aux.x_max:
             return prev
-        return recset_program(DiagAux(None, entry, reconstruct(entry, probe)))
+        return recset_program(_new_tuple(DiagAux, (None, entry, reconstruct(entry, probe))))
 
-    initial = Program("diagonal", ("diag", "init"), Language(0, bound, "diag[init]"), DiagAux())
+    initial = Program(("diag", "init"), Language(0, bound, "diag[init]"), DiagAux())
     return Generalizer(initial, step)
 
 
@@ -407,9 +410,9 @@ def gold_generalizer(family: GoldFamily) -> Generalizer:
             return prev
         if prev.aux.frozen:
             raise EngineError(f"counterexample {cex} after the conjecture was pinned")
-        return Program("gold", ("minus", cex), family.minus_language(cex), FrozenAux(True))
+        return Program(("minus", cex), family.minus_language(cex), FrozenAux(True))
 
-    initial = Program("gold", ("full",), family.full_language(), FrozenAux(False))
+    initial = Program(("full",), family.full_language(), FrozenAux(False))
     return Generalizer(initial, step)
 
 
@@ -465,11 +468,10 @@ def simulate_min_via_arbitrary(
     Each micro-step caches the verdict the replay reads first, so a replay
     that consumes no entry means the cache lost a verdict: an EngineError.
     """
-    strategy = strategy or _DEFAULT_STRATEGY
+    strategy = strategy or FIRST_FOUND_STRATEGY
     if direct_budget is not None:  # the direct run reads at most this many entries
         direct_budget = max(min(direct_budget, len(trace)), 0)
     limit = 0 if direct_budget == 0 else min(budget, len(trace))
-    step = generalizer.step
 
     base = generalizer.initial.language
     order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
@@ -482,10 +484,10 @@ def simulate_min_via_arbitrary(
     backlog: list[TraceEntry] = []
     tau_done = 0
 
-    tally = _Tally(target, stability_window)
+    tally = _Tally(target, stability_window, generalizer.step)
     records = tally.records
     # The simulated direct run: its streak and counterexample count, no queries.
-    direct = _Tally(target, stability_window)
+    direct = _Tally(target, stability_window, generalizer.step)
     ruled_by = None
 
     stream = zip(range(1, limit + 1), trace)
@@ -515,7 +517,7 @@ def simulate_min_via_arbitrary(
                     raise EngineError("probe sweep exhausted the universe without a counterexample")
                 mu, k = probes, order[probes]  # the budget cut the sweep short
                 probe = _new_tuple(Language, (mask & 1 << k, bound, f"{label}{k}}}", ordering))
-                p_sim = Program(p_last.family, ("probe", k), probe)
+                p_sim = Program(("probe", k), probe)
                 break
             # Case 2.1: the probe's sole element is the minimal counterexample.
             tally.cex_count += 1
@@ -531,7 +533,7 @@ def simulate_min_via_arbitrary(
                 break
             consumed += 1
             direct.cex_count += value is not None
-            prog = direct.iterate(tau_done + consumed, e, prog, value, step, None)
+            prog = direct.iterate(tau_done + consumed, e, prog, value)
             if direct.stopped or tau_done + consumed == direct_budget:
                 break
         if not consumed:  # each case above cached p_last's verdict: the cache lost it

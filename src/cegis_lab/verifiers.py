@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .core import Language, TraceEntry, bits, smpl
+from .core import BOT, Language, TraceEntry, bits
 
 FIRST_FOUND = "first-found"
 SEEDED_RANDOM = "seeded-random"
@@ -59,6 +59,10 @@ class CexStrategy:
         return rng.choice(elements)
 
 
+# The strategy of a query that names none; it keeps no state, so all share it.
+FIRST_FOUND_STRATEGY = CexStrategy()
+
+
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -71,7 +75,7 @@ def _sound(candidate: Language, target: Language, e: int) -> int:
 
 
 def check(
-    candidate: Language, target: Language, strategy: CexStrategy = CexStrategy()
+    candidate: Language, target: Language, strategy: CexStrategy = FIRST_FOUND_STRATEGY
 ) -> Optional[int]:
     """Arbitrary-counterexample subset query."""
     # Each oracle's difference, candidate members not in the target: ``c & t``
@@ -100,13 +104,12 @@ def hcheck(
 ) -> Optional[int]:
     """History-bounded counterexample: strictly below some seen example.
 
-    m < tau(j) for some j is equivalent to m < max(SMPL(history)); padding
-    entries never participate.  With empty history the answer is always
+    m < tau(j) for some j is equivalent to m < the history's largest sample;
+    padding entries never participate.  With no sample the answer is always
     None.  Among eligible elements the smallest is returned.
     """
-    seen = smpl(history)
-    if not seen:
-        return None
-    c = candidate.mask & (1 << max(seen)) - 1  # only members below the largest sample
+    # Only members below the largest sample; with no sample, top 0 keeps none.
+    top = max((e for e in history if e is not BOT), default=0)
+    c = candidate.mask & (1 << top) - 1
     diff = c ^ (c & target.mask)
     return _sound(candidate, target, _lowest(diff)) if diff else None

@@ -29,6 +29,12 @@ from cegis_lab.engines import (
 from cegis_lab.verifiers import CexStrategy, check
 
 
+def smpl(entries: Iterable[TraceEntry]) -> frozenset:
+    """SMPL of a trace prefix: the naturals occurring in it (padding excluded),
+    the set whose largest element bounds a history-bounded counterexample."""
+    return frozenset(e for e in entries if e is not BOT)
+
+
 def chain_template(family, i: int, n: int) -> int:
     """TEMPLATE for the chain: L_i = {n | n <= i}."""
     return 1 if n <= i else 0
@@ -108,7 +114,7 @@ def enumeration_generalizer(languages: Sequence[Language]) -> Generalizer:
     def conjecture(seen: int, refuted: int) -> Program:
         for i, lang in enumerate(languages):
             if lang.mask & seen == seen and not lang.mask & refuted:
-                return Program("enumeration", i, lang, (seen, refuted))
+                return Program(i, lang, (seen, refuted))
         raise EngineError("no language of the family is consistent with the examples")
 
     def step(prev: Program, entry, cex, probe=None) -> Program:
@@ -179,7 +185,6 @@ def simulate_by_index(
     loop, kept to check that loop against."""
     strategy = strategy or CexStrategy()
     limit = min(budget, len(trace))
-    step = generalizer.step
 
     base = generalizer.initial.language
     order = range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
@@ -192,9 +197,9 @@ def simulate_by_index(
     backlog: list[TraceEntry] = []
     tau_done = 0
 
-    tally = _Tally(target, stability_window)
+    tally = _Tally(target, stability_window, generalizer.step)
     # The simulated direct run: its streak and counterexample count, no queries.
-    direct = _Tally(target, stability_window)
+    direct = _Tally(target, stability_window, generalizer.step)
     since_progress = 0
 
     for m, entry in zip(range(1, limit + 1), trace):
@@ -246,7 +251,7 @@ def simulate_by_index(
                 break
             consumed += 1
             direct.cex_count += value is not None
-            prog = direct.iterate(tau_done + consumed, e, prog, value, step, None)
+            prog = direct.iterate(tau_done + consumed, e, prog, value)
             if direct.stopped:
                 break
         del backlog[:consumed]
@@ -263,7 +268,7 @@ def simulate_by_index(
             break
 
     # A run cut mid-sweep reports the pending probe as its simulated program.
-    p_sim = p_last if probe is None else Program(p_last.family, ("probe", order[mu]), probe)
+    p_sim = p_last if probe is None else Program(("probe", order[mu]), probe)
     return tally.finish(
         p_last, sim_state=SimState(lce, p_sim, mu, tuple(backlog), tau_done),
         ruled_by=(direct, tau_done) if direct.stopped else None,

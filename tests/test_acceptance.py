@@ -9,7 +9,7 @@ import random
 import time
 from pathlib import Path
 
-from cegis_lab.core import pair_decode, pair_encode, point_encode, smpl, trace_generate
+from cegis_lab.core import pair_decode, pair_encode, point_encode, trace_generate
 from cegis_lab.engines import CEGIS, CONVERGED, HCEGIS, MINCEGIS, STALLED, run_engine
 from cegis_lab.engines import chain_generalizer, diag_generalizer, rectangle_generalizer
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
@@ -17,7 +17,7 @@ from cegis_lab.harness import convergence_verdict, demo_lemma2, demo_theorem1
 from cegis_lab.harness import indistinguishability_demo
 from cegis_lab.verifiers import check, hcheck, mincheck
 from cegis_lab.cli import main as cli_main
-from reference import ordering_key
+from reference import ordering_key, smpl
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

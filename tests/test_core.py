@@ -15,13 +15,12 @@ from cegis_lab.core import (
     point_decode,
     point_encode,
     semantically_equal,
-    smpl,
     trace_generate,
     zigzag_decode,
     zigzag_encode,
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
-from reference import explicit_language, intersect_singleton
+from reference import explicit_language, intersect_singleton, smpl
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +121,6 @@ def test_zigzag_roundtrip(z):
 @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
 def test_point_roundtrip(x, y):
     assert point_decode(point_encode(x, y)) == (x, y)
-
-
-# ---------------------------------------------------------------------------
-# SMPL
-
-
-def test_smpl_definition_examples():
-    assert smpl([BOT, 3, BOT, 3, 5]) == frozenset({3, 5})
-    assert smpl([]) == frozenset()
-    assert smpl([BOT, BOT]) == frozenset()
-
-
-@given(st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=50))))
-def test_smpl_equals_range_minus_bot(entries):
-    assert smpl(entries) == frozenset(e for e in entries if e is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_chain_step_examples():
     l3 = gen.step(gen.step(gen.step(gen.initial, 0, None), 1, None), 2, None)
     assert l3.index == 3
     assert gen.step(l3, 2, None).index == 4
-    frozen = Program("chain", 6, fam.language(6), type(gen.initial.aux)(False))
+    frozen = Program(6, fam.language(6), type(gen.initial.aux)(False))
     after = gen.step(frozen, 4, 6)
     assert after.index == 5 and after.aux.frozen
     assert gen.step(after, 9, None) is after
@@ -134,7 +134,7 @@ def test_rectangle_shrink_equals_the_axis_name_reference(data, xs, ys, hull):
     hull = None if hull is None else (*hull[0], *hull[1])
     # A counterexample is a member of the conjecture: a point in the bounds.
     point = data.draw(st.tuples(st.integers(*xs), st.integers(*ys)))
-    prev = Program("rectangle", bounds, _GRID4.language(*bounds), RectAux(hull))
+    prev = Program(bounds, _GRID4.language(*bounds), RectAux(hull))
     step = rectangle_generalizer(_GRID4).step
     try:
         expected = rectangle_shrink(bounds, hull, *point)
@@ -385,7 +385,7 @@ def test_simulation_cut_mid_sweep_reports_the_pending_probe():
     p_last, p_sim = sim.final, state.p_sim
     assert p_last.descriptor() == "rect[-1,4,-4,4]"
     k = target.ordering.order[state.mu]
-    assert p_sim.index == ("probe", k) and p_sim.family == p_last.family
+    assert p_sim.index == ("probe", k)
     assert p_sim.descriptor() == f"{p_last.descriptor()}&{{{k}}}"
     assert p_sim.language.mask == p_last.language.mask & 1 << k
     assert sim.iterations[-1].event == "probe"
@@ -552,6 +552,33 @@ def test_theorem1_over_generated_finite_families(case, kind, schedule, seed, dir
     direct, sim = _theorem1_runs(gen, target, kind, schedule, seed, direct_budget, length)
     assert semantically_equal(direct.final.language, sim.final.language)
     assert direct.status == sim.status
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=finite_families(),
+    kind=st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX]),
+    schedule=st.sampled_from(["canonical", "padded-seeded"]),
+    seed=st.integers(0, 2**16),
+)
+def test_cegis_identifies_every_target_of_a_finite_family(case, kind, schedule, seed):
+    """The abstract's finite-space claim: over a finite family of n languages,
+    CEGIS with Gold's enumeration learner converges on the target.  Each
+    counterexample rules out the conjecture it refutes, which is not the
+    target, so a run draws at most n - 1 of them.  The seeded-random
+    schedule is left out: its uniform draws can take longer than the window
+    to show every member (see the README's run semantics)."""
+    gen, n, target = case
+    if schedule == "canonical" and not target.mask:
+        schedule = "padded-seeded"  # the canonical schedule needs a member
+    budget = 40 * (target.universe_bound + 1) * n
+    trace = trace_generate(target, schedule, seed=seed, length=budget)
+    window = min(default_stability_window(target), budget)
+    run = run_engine(CEGIS, target, trace, gen, CexStrategy(kind, seed=seed), budget=budget,
+                     stability_window=window)
+    assert run.status == CONVERGED
+    assert run.final.language.mask == target.mask
+    assert run.cex_count <= n - 1
 
 
 def test_theorem1_simulation_stops_where_direct_mincegis_stops():
@@ -741,7 +768,7 @@ def test_value_types_are_immutable():
     sim = simulate_min_via_arbitrary(target, trace, gen, budget=20)
     values = [
         (lang, "mask"),
-        (Program("chain", 0, lang), "language"),
+        (Program(0, lang), "language"),
         (IterationRecord(1, None, "chain[0]", None, "conjecture"), "event"),
         (RectAux(), "hull"),
         (ChainFamily(), "max_index"),

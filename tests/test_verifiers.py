@@ -13,7 +13,6 @@ from cegis_lab.core import (
     point_decode,
     point_encode,
     semantically_equal,
-    smpl,
 )
 from cegis_lab.engines import LceMap
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
@@ -28,7 +27,7 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
-from reference import explicit_language, intersect_singleton, ordering_key
+from reference import explicit_language, intersect_singleton, ordering_key, smpl
 
 
 def brute_difference(candidate, target):
@@ -127,7 +126,18 @@ def test_mincheck_equals_brute_force_minimum(family):
 
 
 # ---------------------------------------------------------------------------
-# hcheck (history-bounded counterexample)
+# hcheck (history-bounded counterexample), against the reference SMPL
+
+
+def test_smpl_definition_examples():
+    assert smpl([BOT, 3, BOT, 3, 5]) == frozenset({3, 5})
+    assert smpl([]) == frozenset()
+    assert smpl([BOT, BOT]) == frozenset()
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=50))))
+def test_smpl_equals_range_minus_bot(entries):
+    assert smpl(entries) == frozenset(e for e in entries if e is not None)
 
 
 def test_hcheck_known_values():
@@ -323,6 +333,6 @@ def test_bitmask_oracles_equal_frozenset_brute_force(data):
     assert intersect_singleton(candidate, k).members() == cand_ref & {k}
     # The simulation's cache keys a program on its language's members.
     lce = LceMap()
-    lce.set(Program(name, None, candidate), k)
-    assert (lce.get(Program(name, None, target)) == k) == (cand_ref == tgt_ref)
+    lce.set(Program(None, candidate), k)
+    assert (lce.get(Program(None, target)) == k) == (cand_ref == tgt_ref)
     assert semantically_equal(candidate, target) == (cand_ref == tgt_ref)
