@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from .families import RadialOrdering
 
 # The padding symbol in traces.  A trace entry is either a natural number
 # or BOT (no information this step).
@@ -80,56 +82,22 @@ def bits(mask: int) -> list[int]:
     return found
 
 
-class Ordering:
-    """A total order of [0, bound], given by ``key`` as ``sorted`` takes it.
-
-    ``order`` lists the elements least first.  It is built on first use
-    and cut into blocks of 64 elements, each with the bitmask of its
-    elements, so ``least`` skips a block per big-int AND and then tests
-    at most 64 single bits.
-    """
-
-    def __init__(self, key: Callable[[int], tuple], bound: int):
-        self.key = key
-        self.bound = bound
-
-    @cached_property
-    def order(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.bound + 1), key=self.key))
-
-    @cached_property
-    def _blocks(self) -> list[tuple[int, tuple[int, ...]]]:
-        order, size, blocks = self.order, self.bound // 8 + 1, []
-        for s in range(0, len(order), 64):
-            buf = bytearray(size)  # one int from bytes, not a big int per element
-            for e in order[s:s + 64]:
-                buf[e >> 3] |= 1 << (e & 7)
-            blocks.append((int.from_bytes(buf, "little"), order[s:s + 64]))
-        return blocks
-
-    def least(self, mask: int) -> int:
-        """The least element of a nonempty bitmask over [0, bound]."""
-        for block_mask, block in self._blocks:
-            if mask & block_mask:
-                for e in block:
-                    if mask & 1 << e:
-                        return e
-        raise ValueError("least element of an empty set")
-
-
 class Language(NamedTuple):
     """A set of naturals within [0, universe_bound], held as an int bitmask:
     n is a member iff bit n of ``mask`` is set.
 
     ``ordering`` is the family's element ordering, which decides the
-    minimal counterexample; None is the natural order.  Compare languages
-    with ``semantically_equal``, not ``==``: the descriptor is a label.
+    minimal counterexample: ``least(mask)`` is a mask's least member and
+    ``order`` lists [0, universe_bound] least first.  The package's one
+    ordering is the rectangle family's ``RadialOrdering``; None is the
+    natural order.  Compare languages with ``semantically_equal``, not
+    ``==``: the descriptor is a label.
     """
 
     mask: int
     universe_bound: int
     descriptor: str
-    ordering: Optional[Ordering] = None
+    ordering: Optional[RadialOrdering] = None
 
     def contains(self, n: int) -> bool:
         return n >= 0 and bool(self.mask >> n & 1)

@@ -5,14 +5,14 @@ two distinct member languages differ on some element <= B.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from math import isqrt
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     Language,
-    Ordering,
     pair_decode,
     pair_encode,
     zigzag_encode,
@@ -69,7 +69,7 @@ class RectangleFamily:
         self._columns = tuple(accumulate(columns, or_, initial=0))
         self._rows = tuple(accumulate(rows, or_, initial=0))
         self.universe_bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
-        self._ordering = Ordering(self.ordering_key, self.universe_bound)
+        self._ordering = RadialOrdering(self.universe_bound)
         self.decode = points.__getitem__
 
     @staticmethod
@@ -94,6 +94,87 @@ class RectangleFamily:
     def universal_language(self) -> Language:
         g = self.grid_bound
         return self.language(-g, g, -g, g)
+
+
+class RadialOrdering:
+    """The rectangle family's element ordering of the codes [0, bound], by
+    ``RectangleFamily.ordering_key``: x^2 + y^2, then x, then y, for the
+    point (x, y) a code decodes to, on the grid or off it.
+
+    Nothing is built until it is read.  ``order`` lists every code, least
+    first, for the simulation's probe sweeps.  ``least`` reads only the
+    codes out to its answer's radius: it lists those within radius R of the
+    origin, in blocks of 64 codes, each with the bitmask of its codes, so a
+    scan skips a block per big-int AND and then tests at most 64 single
+    bits.  A scan that runs past the blocks quadruples R^2 and goes on.
+    """
+
+    key = staticmethod(RectangleFamily.ordering_key)
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._blocks: list[tuple[int, tuple[int, ...]]] = []
+        self._r2: Optional[int] = 64  # R^2 of the next blocks; None once all are built
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return self._within(None)
+
+    def least(self, mask: int) -> int:
+        """The least element of a nonempty bitmask over [0, bound]."""
+        for block_mask, block in self._blocks:
+            if mask & block_mask:
+                for e in block:
+                    if mask & 1 << e:
+                        return e
+        if self._r2 is None:
+            raise ValueError("least element of an empty set")
+        self._grow()
+        return self.least(mask)
+
+    def _grow(self) -> None:
+        """Block the codes within radius^2 ``_r2``, and quadruple it.  Those
+        codes begin with the ones already blocked, so only a short last
+        block is built again."""
+        codes, blocks, size = self._within(self._r2), self._blocks, self.bound // 8 + 1
+        if blocks and len(blocks[-1][1]) < 64:
+            blocks.pop()
+        for s in range(64 * len(blocks), len(codes), 64):
+            buf = bytearray(size)  # one int from bytes, not a big int per element
+            for e in codes[s:s + 64]:
+                buf[e >> 3] |= 1 << (e & 7)
+            blocks.append((int.from_bytes(buf, "little"), codes[s:s + 64]))
+        self._r2 = None if len(codes) > self.bound else 4 * self._r2
+
+    def _within(self, r2: Optional[int]) -> tuple[int, ...]:
+        """The codes whose point lies within radius^2 ``r2`` of the origin
+        (every code for None), least first: one sort of ints that pack
+        (x^2 + y^2, x, y, code) in fields as wide as the bound needs.  A
+        code is the Cantor pair of x' and y', the zigzag codes of x and y."""
+        bound = self.bound
+        top = (isqrt(8 * bound + 1) - 1) >> 1  # the largest zigzag sum x' + y' of a code
+        last = bound - (top * (top + 1) >> 1)  # the codes with x' + y' = top have y' <= last
+        m = top + 1 >> 1  # so |x|, |y| <= m
+        y_at = bound.bit_length()  # the shifts of the y + m, x + m and x^2 + y^2 fields
+        x_at = y_at + (2 * m).bit_length()
+        r_at = x_at + (2 * m).bit_length()
+        radius = m if r2 is None else min(m, isqrt(r2))
+        # A code's y' part and triangle term do not depend on x, so each
+        # column of codes is a sum of two list slices.
+        ys = [zy >> 1 ^ -(zy & 1) for zy in range(top + 1)]  # y for each y'
+        y_part = [(y * y << r_at) + (y + m << y_at) + zy for zy, y in enumerate(ys)]
+        triangle = [s * (s + 1) >> 1 for s in range(top + 1)]
+        packed: list[int] = []
+        for x in range(-radius, min(radius, top >> 1) + 1):
+            zx = 2 * x if x >= 0 else -2 * x - 1
+            n = top - zx if top - zx <= last else top - zx - 1  # the largest y' of a code <= bound
+            if r2 is not None:
+                n = min(n, 2 * isqrt(r2 - x * x))  # |y| <= k exactly when y' <= 2k
+            head = (x * x << r_at) + (x + m << x_at)
+            packed += [head + a + b for a, b in zip(y_part[:n + 1], triangle[zx:])]
+        packed.sort()
+        low = (1 << y_at) - 1
+        return tuple([p & low for p in packed])
 
 
 class DiagonalFamily(NamedTuple):

@@ -1,12 +1,12 @@
 """Brute-force references the tests check the package against, kept out of
 ``src`` because nothing in the package reads them."""
 
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 from cegis_lab.core import (
     BOT,
     Language,
-    Ordering,
     Program,
     Trace,
     TraceEntry,
@@ -93,6 +93,26 @@ def ordering_key(language: Language):
     """Sort key of the language's element ordering; the natural order when it
     declares none."""
     return (lambda n: n) if language.ordering is None else language.ordering.key
+
+
+class Ordering:
+    """A total order of [0, bound], given by ``key`` as ``sorted`` takes it:
+    the ordering the generated finite families share.  ``order`` lists the
+    elements least first; ``least`` takes the minimum by ``key``."""
+
+    def __init__(self, key: Callable[[int], tuple], bound: int):
+        self.key = key
+        self.bound = bound
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(sorted(range(self.bound + 1), key=self.key))
+
+    def least(self, mask: int) -> int:
+        """The least element of a nonempty bitmask over [0, bound]."""
+        if not mask:
+            raise ValueError("least element of an empty set")
+        return min(bits(mask), key=self.key)
 
 
 def finite_family(masks: Sequence[int], bound: int, order: Sequence[int]) -> list[Language]:

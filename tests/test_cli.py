@@ -146,6 +146,15 @@ def test_golden_simulation_log_regression(tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+def test_golden_mincegis_log_regression(tmp_path):
+    # Pins each minimal counterexample of the direct run, the radial least
+    # of its difference set.
+    assert run_cli("run", "--family", "rectangle", "--target=-1,1,-1,1",
+                   "--engine", "mincegis", "--out", str(tmp_path)) == 0
+    name = "rectangle-mincegis--1_1_-1_1.jsonl"
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_golden_demo_theorem1_report(tmp_path):
     assert run_cli("demo", "theorem1", "--out", str(tmp_path)) == 0
     name = "demo-theorem1.json"

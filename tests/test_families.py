@@ -1,17 +1,21 @@
 """Indexed families: chain, rectangle, diagonal, gold."""
 
 import re
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cegis_lab.core import pair_encode, point_decode, point_encode, zigzag_encode
+from cegis_lab.core import bits, pair_encode, point_decode, point_encode, zigzag_encode
 from cegis_lab.families import (
     ChainFamily,
     DiagonalFamily,
     GoldFamily,
+    RadialOrdering,
     RectangleFamily,
 )
+from cegis_lab.verifiers import mincheck
 from reference import (
     chain_template,
     diag_template,
@@ -170,9 +174,70 @@ def test_grid32_order_and_blocks_equal_the_point_decode_reference():
     assert [fam.ordering_key(c) for c in universe] == [radial_key(c) for c in universe]
     order = tuple(sorted(universe, key=radial_key))
     assert ordering.order == order
+    # The blocks are built out as far as a scan reads; the last code reads them all.
+    assert ordering.least(1 << order[-1]) == order[-1]
     assert ordering._blocks == [
         (sum(1 << e for e in order[s:s + 64]), order[s:s + 64]) for s in range(0, len(order), 64)
     ]
+
+
+@lru_cache(maxsize=None)
+def radial_cases(g: int) -> tuple:
+    """For grid g: the universe bound, its codes sorted by ``ordering_key``,
+    and the code lists a mask of a kind is drawn from (all codes; those past
+    each radius a fresh ordering builds its blocks out to; those off the
+    grid)."""
+    bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
+    key = RectangleFamily.ordering_key
+    order = tuple(sorted(range(bound + 1), key=key))
+    pools = [order]
+    r2 = RadialOrdering(bound)._r2
+    while key(order[-1])[0] > r2:
+        pools.append([c for c in order if key(c)[0] > r2])
+        r2 *= 4
+    pools.append([c for c in order if max(map(abs, point_decode(c))) > g])
+    return bound, order, [pool for pool in pools if pool]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_radial_ordering_least_is_the_key_minimum(data):
+    g = data.draw(st.one_of(st.integers(0, 12), st.just(32)), label="grid")
+    bound, order, pools = radial_cases(g)
+    masks = st.one_of(
+        *(st.sets(st.sampled_from(pool), min_size=1, max_size=6) for pool in pools),
+        st.integers(0, len(order) - 1).map(lambda i: set(order[i:i + 16])),
+        st.just({order[-1]}),
+    ).map(lambda codes: sum(1 << e for e in codes))
+    # One fresh ordering answers the whole drawn sequence, so each answer is
+    # checked after whatever the calls before it built.
+    queries = data.draw(st.lists(st.one_of(masks, st.just(0), st.just("order")),
+                                 min_size=1, max_size=5), label="queries")
+    ordering = RadialOrdering(bound)
+    for query in queries:
+        if query == "order":
+            assert ordering.order == order
+        elif query == 0:
+            with pytest.raises(ValueError, match="^least element of an empty set$"):
+                ordering.least(0)
+        else:
+            assert ordering.least(query) == min(bits(query), key=RectangleFamily.ordering_key)
+        # What is built is always a prefix of the order,
+        built = [e for _, block in ordering._blocks for e in block]
+        assert built == list(order[:len(built)])
+    # in blocks, each with its mask.
+    assert all(block_mask == sum(1 << e for e in block) for block_mask, block in ordering._blocks)
+
+
+def test_a_cold_mincheck_builds_only_the_radial_order_it_reads():
+    fam = RectangleFamily(128)
+    universal = fam.universal_language()
+    assert fam.universe_bound + 1 == 131_585
+    assert mincheck(universal, fam.language(-1, 1, -1, 1)) == point_encode(-2, 0)
+    ordering = universal.ordering
+    built = sum(len(block) for _, block in ordering._blocks)
+    assert 0 < built < (fam.universe_bound + 1) / 100
+    assert "order" not in vars(ordering)
 
 
 def test_rectangle_invalid_bounds():
