@@ -49,11 +49,14 @@ MASK_CEILING = 1 << 20
 
 
 def _load_config(path: str) -> dict:
-    """Flat key = value file, TOML-compatible for the keys we accept."""
+    """A UTF-8 file of one ``key = value`` per line, the value optionally quoted;
+    a ``#`` comment stands on its own line, as after a value it is part of it."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config {path} is not UTF-8: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -180,6 +183,7 @@ def cmd_run(args) -> int:
     seed = seed or 0
     strategy = CexStrategy(kind=kind or FIRST_FOUND, seed=seed)
     trace = trace_generate(target, schedule, seed=seed, length=budget)
+    out = _out_dir(args.out)  # before any work: trace_generate makes no entry yet
     if engine == SIMULATED_MINCEGIS:
         run = simulate_min_via_arbitrary(
             target, trace, generalizer, strategy, budget=budget, stability_window=window,
@@ -190,12 +194,12 @@ def cmd_run(args) -> int:
             budget=budget, stability_window=window,
         )
 
-    out = _out_dir(args.out)
     stem = f"{family_name}-{engine}-{target_spec.replace(':', '_').replace(',', '_')}"
     log_path = out / f"{stem}.jsonl"
-    log_path.write_text(run_jsonl(run, getattr(family, "decode", None)))
+    log_path.write_text(run_jsonl(run, getattr(family, "decode", None)), encoding="utf-8")
     summary_path = out / f"{stem}.summary.json"
-    summary_path.write_text(json.dumps(summary_dict(run), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary_dict(run), indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
     print(f"{run.status} match={run.semantic_match} queries={run.queries} log={log_path}")
 
     if run.status == CONVERGED and run.semantic_match:
@@ -214,19 +218,17 @@ def cmd_demo(args) -> int:
     if args.imax is not None:
         if args.name != "lemma1":
             raise ValueError(f"demo {args.name} takes no --imax")
-        if not 0 <= args.imax <= ChainFamily().max_index:
-            raise ValueError(f"--imax must be in [0, {ChainFamily().max_index}]")
         kwargs["i_max"] = args.imax
     if args.budget is not None:
         if args.name == "theorem1":
             raise ValueError("demo theorem1 takes no --budget")
         kwargs["budget"] = _check_budget(args.budget)
+    out = _out_dir(args.out)
     report = harness.DEMOS[args.name](**kwargs)
 
-    out = _out_dir(args.out)
-    (out / f"demo-{args.name}.md").write_text(report.to_markdown())
+    (out / f"demo-{args.name}.md").write_text(report.to_markdown(), encoding="utf-8")
     (out / f"demo-{args.name}.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"{report.title}: passed={report.passed}")
     print(report.conclusion)
@@ -235,9 +237,11 @@ def cmd_demo(args) -> int:
 
 def cmd_table(args) -> int:
     try:
-        doc = json.loads(Path(args.report).read_text())
+        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read report {args.report}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"report {args.report} is not UTF-8: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"report {args.report} is not JSON: {exc}") from exc
     except RecursionError as exc:  # a RuntimeError, raised past the recursion limit

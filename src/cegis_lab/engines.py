@@ -195,7 +195,7 @@ def run_engine(
     target: Language,
     trace: Trace,
     generalizer: Generalizer,
-    strategy: Optional[CexStrategy] = None,
+    strategy: CexStrategy = FIRST_FOUND_STRATEGY,
     budget: int = 100,
     stability_window: int = 10,
 ) -> EngineRun:
@@ -208,7 +208,6 @@ def run_engine(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown engine variant: {variant}")
-    strategy = strategy or FIRST_FOUND_STRATEGY
     limit = min(budget, len(trace))
     # hcheck depends on a history only through its largest sample, so the
     # history handed to it is (largest non-BOT entry read so far,) or ().
@@ -448,7 +447,7 @@ def simulate_min_via_arbitrary(
     target: Language,
     trace: Trace,
     generalizer: Generalizer,
-    strategy: Optional[CexStrategy] = None,
+    strategy: CexStrategy = FIRST_FOUND_STRATEGY,
     budget: int = 10_000,
     stability_window: int = 10,
     direct_budget: Optional[int] = None,
@@ -468,7 +467,6 @@ def simulate_min_via_arbitrary(
     Each micro-step caches the verdict the replay reads first, so a replay
     that consumes no entry means the cache lost a verdict: an EngineError.
     """
-    strategy = strategy or FIRST_FOUND_STRATEGY
     if direct_budget is not None:  # the direct run reads at most this many entries
         direct_budget = max(min(direct_budget, len(trace)), 0)
     limit = 0 if direct_budget == 0 else min(budget, len(trace))

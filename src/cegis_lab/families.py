@@ -72,13 +72,6 @@ class RectangleFamily:
         self._ordering = RadialOrdering(self.universe_bound)
         self.decode = points.__getitem__
 
-    @staticmethod
-    def ordering_key(code: int) -> tuple:
-        s = (isqrt(8 * code + 1) - 1) >> 1  # point_decode(code) inline: unpair
-        b = code - (s * (s + 1) >> 1)
-        x, y = (s - b >> 1) ^ -(s - b & 1), (b >> 1) ^ -(b & 1)  # and unzigzag
-        return (x * x + y * y, x, y)
-
     def language(self, ax: int, bx: int, ay: int, by: int) -> Language:
         g = self.grid_bound
         if ax > bx or ay > by:
@@ -97,9 +90,9 @@ class RectangleFamily:
 
 
 class RadialOrdering:
-    """The rectangle family's element ordering of the codes [0, bound], by
-    ``RectangleFamily.ordering_key``: x^2 + y^2, then x, then y, for the
-    point (x, y) a code decodes to, on the grid or off it.
+    """The rectangle family's element ordering of the codes [0, bound]:
+    x^2 + y^2, then x, then y, for the point (x, y) that ``point_decode``
+    gives for a code, on the grid or off it.
 
     Nothing is built until it is read.  ``order`` lists every code, least
     first, for the simulation's probe sweeps.  ``least`` reads only the
@@ -109,8 +102,6 @@ class RadialOrdering:
     bits.  A scan that runs past the blocks quadruples R^2 and goes on.
     """
 
-    key = staticmethod(RectangleFamily.ordering_key)
-
     def __init__(self, bound: int):
         self.bound = bound
         self._blocks: list[tuple[int, tuple[int, ...]]] = []
@@ -118,7 +109,7 @@ class RadialOrdering:
 
     @cached_property
     def order(self) -> tuple[int, ...]:
-        return self._within(None)
+        return self._within(self.bound)
 
     def least(self, mask: int) -> int:
         """The least element of a nonempty bitmask over [0, bound]."""
@@ -146,11 +137,12 @@ class RadialOrdering:
             blocks.append((int.from_bytes(buf, "little"), codes[s:s + 64]))
         self._r2 = None if len(codes) > self.bound else 4 * self._r2
 
-    def _within(self, r2: Optional[int]) -> tuple[int, ...]:
-        """The codes whose point lies within radius^2 ``r2`` of the origin
-        (every code for None), least first: one sort of ints that pack
-        (x^2 + y^2, x, y, code) in fields as wide as the bound needs.  A
-        code is the Cantor pair of x' and y', the zigzag codes of x and y."""
+    def _within(self, r2: int) -> tuple[int, ...]:
+        """The codes whose point lies within radius^2 ``r2`` of the origin,
+        least first: one sort of ints that pack (x^2 + y^2, x, y, code) in
+        fields as wide as the bound needs.  A code is the Cantor pair of x'
+        and y', the zigzag codes of x and y; its point has x^2 + y^2 <= code,
+        so r2 = bound gives every code."""
         bound = self.bound
         top = (isqrt(8 * bound + 1) - 1) >> 1  # the largest zigzag sum x' + y' of a code
         last = bound - (top * (top + 1) >> 1)  # the codes with x' + y' = top have y' <= last
@@ -158,7 +150,7 @@ class RadialOrdering:
         y_at = bound.bit_length()  # the shifts of the y + m, x + m and x^2 + y^2 fields
         x_at = y_at + (2 * m).bit_length()
         r_at = x_at + (2 * m).bit_length()
-        radius = m if r2 is None else min(m, isqrt(r2))
+        radius = min(m, isqrt(r2))
         # A code's y' part and triangle term do not depend on x, so each
         # column of codes is a sum of two list slices.
         ys = [zy >> 1 ^ -(zy & 1) for zy in range(top + 1)]  # y for each y'
@@ -168,8 +160,7 @@ class RadialOrdering:
         for x in range(-radius, min(radius, top >> 1) + 1):
             zx = 2 * x if x >= 0 else -2 * x - 1
             n = top - zx if top - zx <= last else top - zx - 1  # the largest y' of a code <= bound
-            if r2 is not None:
-                n = min(n, 2 * isqrt(r2 - x * x))  # |y| <= k exactly when y' <= 2k
+            n = min(n, 2 * isqrt(r2 - x * x))  # |y| <= k exactly when y' <= 2k
             head = (x * x << r_at) + (x + m << x_at)
             packed += [head + a + b for a, b in zip(y_part[:n + 1], triangle[zx:])]
         packed.sort()
@@ -223,17 +214,13 @@ class DiagonalFamily(NamedTuple):
 class GoldFamily(NamedTuple):
     """The universal set [0, B] together with every one-point deletion."""
 
-    bound: int = 50
-
-    @property
-    def universe_bound(self) -> int:
-        return self.bound
+    universe_bound: int = 50
 
     def full_language(self) -> Language:
-        return Language((1 << self.bound + 1) - 1, self.bound, "gold[full]")
+        return Language((1 << self.universe_bound + 1) - 1, self.universe_bound, "gold[full]")
 
     def minus_language(self, i: int) -> Language:
-        if not 0 <= i <= self.bound:
-            raise ValueError(f"gold deletion index {i} not in [0, {self.bound}]")
-        full = (1 << self.bound + 1) - 1
-        return Language(full ^ (1 << i), self.bound, f"gold[-{i}]")
+        if not 0 <= i <= self.universe_bound:
+            raise ValueError(f"gold deletion index {i} not in [0, {self.universe_bound}]")
+        full = (1 << self.universe_bound + 1) - 1
+        return Language(full ^ (1 << i), self.universe_bound, f"gold[-{i}]")

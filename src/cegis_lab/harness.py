@@ -60,33 +60,15 @@ def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
     )
 
 
-class ReportRow(NamedTuple):
-    family: str
-    target: str
-    variant: str
-    seed: Optional[int]
-    status: str
-    semantic_match: bool
-    queries: int
-    counterexamples: int
-    extra: dict
-
-
 class SeparationReport(NamedTuple):
+    """A demo's outcome.  Each row is the JSON object the report file holds:
+    family, target, variant, seed, status, semantic_match, queries and
+    counterexamples, and any key the demo adds."""
+
     title: str
-    rows: list[ReportRow]
+    rows: list[dict]
     conclusion: str
     passed: bool
-
-    def to_dict(self) -> dict:
-        """The report as JSON-ready data; each row's extra keys sit beside its fields."""
-        rows = []
-        for row in self.rows:
-            doc = row._asdict()
-            doc.update(doc.pop("extra"))
-            rows.append(doc)
-        return {"title": self.title, "rows": rows, "conclusion": self.conclusion,
-                "passed": self.passed}
 
     def to_markdown(self) -> str:
         lines = [f"# {self.title}", ""]
@@ -95,17 +77,17 @@ class SeparationReport(NamedTuple):
         lines.append("|---|---|---|---|---|---|---|---|")
         for r in self.rows:
             lines.append(
-                f"| {r.family} | {r.target} | {r.variant} | {r.seed} "
-                f"| {r.status} | {r.semantic_match} | {r.queries} | {r.counterexamples} |"
+                f"| {r['family']} | {r['target']} | {r['variant']} | {r['seed']} | {r['status']} "
+                f"| {r['semantic_match']} | {r['queries']} | {r['counterexamples']} |"
             )
         lines += ["", f"**Conclusion**: {self.conclusion}", f"**Passed**: {self.passed}", ""]
         return "\n".join(lines)
 
 
-def _row(family: str, target: Language, variant: str, run: EngineRun,
-         extra: Optional[dict] = None) -> ReportRow:
-    return ReportRow(family, target.descriptor, variant, None, run.status,
-                     run.semantic_match, run.queries, run.cex_count, extra or {})
+def _row(family: str, target: Language, variant: str, run: EngineRun, **extra) -> dict:
+    return {"family": family, "target": target.descriptor, "variant": variant, "seed": None,
+            "status": run.status, "semantic_match": run.semantic_match, "queries": run.queries,
+            "counterexamples": run.cex_count, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +146,21 @@ def demo_theorem1() -> SeparationReport:
         ("rectangle", rectangle_generalizer(rect), [rect.language(*b) for b in rects],
          2000, 60_000),
     )
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     for name, gen, targets, direct_budget, length in cases:
         for target in targets:
             for seed in (11, 23, 37):
                 trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=length)
                 direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, length)
-                rows.append(ReportRow(
-                    name, target.descriptor, "mincegis-vs-sim", seed,
-                    f"{direct.status}/{sim.status}", equal,
-                    direct.queries + sim.queries, direct.cex_count + sim.cex_count,
-                    {"equal_finals": equal},
-                ))
+                rows.append({
+                    "family": name, "target": target.descriptor, "variant": "mincegis-vs-sim",
+                    "seed": seed, "status": f"{direct.status}/{sim.status}",
+                    "semantic_match": equal, "queries": direct.queries + sim.queries,
+                    "counterexamples": direct.cex_count + sim.cex_count, "equal_finals": equal,
+                })
 
     n = len(rows)
-    agree = sum(1 for r in rows if r.extra["equal_finals"])
+    agree = sum(1 for r in rows if r["equal_finals"])
     conclusion = (
         f"direct minimal-counterexample runs and their arbitrary-counterexample "
         f"simulations agree on {agree}/{n} (family, target, seed) cases"
@@ -191,12 +173,14 @@ def demo_theorem1() -> SeparationReport:
 
 
 def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
+    chain = ChainFamily()
+    if not 0 <= i_max <= chain.max_index:
+        raise ValueError(f"demo lemma1 needs i_max in [0, {chain.max_index}], got {i_max}")
     if budget < i_max + 2:
         raise ValueError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
                          f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
-    chain = ChainFamily()
     gen = chain_generalizer(chain)
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     ok = True
     for i in range(i_max + 1):
         target = chain.language(i)
@@ -236,7 +220,7 @@ def _crafted_fin_instances(rng: random.Random, count: int, family: DiagonalFamil
 def demo_lemma2(budget: int = 120) -> SeparationReport:
     family = DiagonalFamily()
     gen = diag_generalizer(family)
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     ok = True
 
     targets = _crafted_fin_instances(random.Random(5), 10, family)
@@ -244,7 +228,7 @@ def demo_lemma2(budget: int = 120) -> SeparationReport:
     for target in targets:
         run = run_engine(HCEGIS, target, trace_generate(target, CANONICAL, length=budget),
                          gen, budget=budget)
-        rows.append(_row("diagonal", target, HCEGIS, run, {"probes": run.probes}))
+        rows.append(_row("diagonal", target, HCEGIS, run, probes=run.probes))
         ok = ok and run.status == CONVERGED and run.semantic_match
 
     # Negative direction: crafted indistinguishable pairs for the
@@ -258,11 +242,11 @@ def demo_lemma2(budget: int = 120) -> SeparationReport:
     ]
     for base, z1, z2 in pair_specs:
         report = indistinguishability_demo(base, z1, z2, budget=40)
-        rows.append(ReportRow(
-            "diagonal", report["pair"], CEGIS, None,
-            "indistinguishable" if report["logs_identical"] else "distinguished",
-            False, 0, 0, report,
-        ))
+        rows.append({
+            "family": "diagonal", "target": report["pair"], "variant": CEGIS, "seed": None,
+            "status": "indistinguishable" if report["logs_identical"] else "distinguished",
+            "semantic_match": False, "queries": 0, "counterexamples": 0, **report,
+        })
         ok = ok and report["logs_identical"] and report["mismatched"] >= 1
 
     conclusion = (
@@ -327,7 +311,7 @@ def indistinguishability_demo(
 def demo_gold(budget: int = 60) -> SeparationReport:
     family = GoldFamily()
     gen = gold_generalizer(family)
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     ok = True
 
     targets = [family.full_language()] + [family.minus_language(i) for i in (0, 5, 17, 33, 50)]
@@ -335,14 +319,14 @@ def demo_gold(budget: int = 60) -> SeparationReport:
         trace = trace_generate(target, CANONICAL, length=budget)
         run = run_engine(CEGIS, target, trace, gen, budget=budget)
         conjectures = len({r.candidate for r in run.iterations})
-        rows.append(_row("gold", target, CEGIS, run, {"conjectures": conjectures}))
+        rows.append(_row("gold", target, CEGIS, run, conjectures=conjectures))
         ok = ok and run.status == CONVERGED and run.semantic_match
         ok = ok and conjectures <= 2
 
         # Positive-only ablation: cutting the counterexample channel makes
         # the one-point deletions indistinguishable from the full set.
         ab = run_engine(POSITIVE_ONLY, target, trace, gen, budget=budget)
-        rows.append(_row("gold", target, POSITIVE_ONLY, ab, {"final": ab.final.descriptor()}))
+        rows.append(_row("gold", target, POSITIVE_ONLY, ab, final=ab.final.descriptor()))
         expected = CONVERGED if target.descriptor == "gold[full]" else STALLED
         ok = ok and ab.status == expected
         ok = ok and ab.final.descriptor() == "gold[full]"
@@ -374,11 +358,12 @@ def demo_rectangle(budget: int = 600) -> SeparationReport:
         and first == (-2, 0)
         and first_key == 4
     )
-    rows = [_row("rectangle", target, MINCEGIS, run, {
-        "first_cex": list(first) if first else None,
-        "first_cex_radial_key": first_key,
-        "cex_points": [list(family.decode(c)) for c in cexs],
-    })]
+    rows = [_row(
+        "rectangle", target, MINCEGIS, run,
+        first_cex=list(first) if first else None,
+        first_cex_radial_key=first_key,
+        cex_points=[list(family.decode(c)) for c in cexs],
+    )]
     conclusion = (
         f"first minimal counterexample {first} has radial key {first_key}; "
         f"final conjecture {run.final.descriptor()}"

@@ -26,6 +26,7 @@ from cegis_lab.engines import (
     _new_tuple,
     _Tally,
 )
+from cegis_lab.families import RadialOrdering
 from cegis_lab.verifiers import CexStrategy, check
 
 
@@ -60,7 +61,7 @@ def diag_template(family, i: int, n: int) -> int:
 
 def gold_template(family, i: int, n: int) -> int:
     """Index 0 is the full set; index i+1 deletes point i."""
-    if n > family.bound:
+    if n > family.universe_bound:
         return 0
     if i == 0:
         return 1
@@ -90,9 +91,13 @@ def intersect_singleton(language: Language, k: int) -> Language:
 
 
 def ordering_key(language: Language):
-    """Sort key of the language's element ordering; the natural order when it
-    declares none."""
-    return (lambda n: n) if language.ordering is None else language.ordering.key
+    """Sort key of the language's element ordering: the natural order when it
+    declares none, and ``radial_key`` for the rectangle family's."""
+    if language.ordering is None:
+        return lambda n: n
+    if isinstance(language.ordering, RadialOrdering):
+        return radial_key
+    return language.ordering.key
 
 
 class Ordering:

@@ -32,7 +32,7 @@ def test_criterion_1_theorem1_equivalence():
     start = time.monotonic()
     rep = demo_theorem1()
     elapsed = time.monotonic() - start
-    all_equal = all(row.extra["equal_finals"] for row in rep.rows)
+    all_equal = all(row["equal_finals"] for row in rep.rows)
     ok = rep.passed and all_equal and len(rep.rows) == 96 and elapsed < 60.0
     assert report(
         f"criterion 1: theorem-1 equivalence on {len(rep.rows)} cases "
@@ -56,12 +56,12 @@ def test_criterion_2_lemma1_separation():
 
 def test_criterion_3_lemma2_positive():
     rep = demo_lemma2()
-    rows = [r for r in rep.rows if r.variant == HCEGIS]
-    fin_rows = [r for r in rows if r.target.startswith("fin")]
-    diag_rows = [r for r in rows if r.target.startswith("diag")]
+    rows = [r for r in rep.rows if r["variant"] == HCEGIS]
+    fin_rows = [r for r in rows if r["target"].startswith("fin")]
+    diag_rows = [r for r in rows if r["target"].startswith("diag")]
     ok = (
         len(fin_rows) == 10 and len(diag_rows) == 10
-        and all(r.status == CONVERGED and r.semantic_match for r in rows)
+        and all(r["status"] == CONVERGED and r["semantic_match"] for r in rows)
     )
     assert report("criterion 3: lemma-2 positive direction (10 fin + diag 1..10)", ok)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cegis_lab
-from cegis_lab import engines
+from cegis_lab import cli, engines, harness
 from cegis_lab.cli import main
 
 
@@ -132,40 +132,26 @@ def test_replay_determinism_byte_identical(tmp_path):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_golden_log_regression(tmp_path):
-    assert run_cli(*chain5_args(tmp_path)) == 0
-    golden = (GOLDEN_DIR / "chain-cegis-5.jsonl").read_bytes()
-    assert (tmp_path / "chain-cegis-5.jsonl").read_bytes() == golden
+RECTANGLE = ("run", "--family", "rectangle", "--target=-1,1,-1,1", "--engine")
+DEMOS = ("gold", "lemma1", "lemma2", "rectangle", "theorem1")
+# Each file under tests/golden/, and the command that writes it.
+GOLDEN = [
+    (("run", "--family", "chain", "--target", "5", "--engine", "cegis"), "chain-cegis-5.jsonl"),
+    # Every probe record and its "...&{k}" descriptor of a rectangle run.
+    (RECTANGLE + ("simulated-mincegis",), "rectangle-simulated-mincegis--1_1_-1_1.jsonl"),
+    # Each minimal counterexample of the direct run, the radial least of its difference set.
+    (RECTANGLE + ("mincegis",), "rectangle-mincegis--1_1_-1_1.jsonl"),
+] + [(("demo", demo), f"demo-{demo}.{ext}") for demo in DEMOS for ext in ("json", "md")]
 
 
-def test_golden_simulation_log_regression(tmp_path):
-    # Pins every probe record and its "...&{k}" descriptor of a rectangle run.
-    assert run_cli("run", "--family", "rectangle", "--target=-1,1,-1,1",
-                   "--engine", "simulated-mincegis", "--out", str(tmp_path)) == 0
-    name = "rectangle-simulated-mincegis--1_1_-1_1.jsonl"
+@pytest.mark.parametrize("argv,name", GOLDEN, ids=[name for _, name in GOLDEN])
+def test_golden(tmp_path, argv, name):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
-def test_golden_mincegis_log_regression(tmp_path):
-    # Pins each minimal counterexample of the direct run, the radial least
-    # of its difference set.
-    assert run_cli("run", "--family", "rectangle", "--target=-1,1,-1,1",
-                   "--engine", "mincegis", "--out", str(tmp_path)) == 0
-    name = "rectangle-mincegis--1_1_-1_1.jsonl"
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-def test_golden_demo_theorem1_report(tmp_path):
-    assert run_cli("demo", "theorem1", "--out", str(tmp_path)) == 0
-    name = "demo-theorem1.json"
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-@pytest.mark.parametrize("demo", ["lemma1", "lemma2", "rectangle", "gold"])
-def test_golden_demo_report(tmp_path, demo):
-    assert run_cli("demo", demo, "--out", str(tmp_path)) == 0
-    name = f"demo-{demo}.json"
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+def test_every_golden_file_has_a_command():
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(name for _, name in GOLDEN)
 
 
 def test_demo_subcommand_writes_reports(tmp_path):
@@ -291,6 +277,8 @@ CHAIN7 = ("run", "--family", "chain", "--target", "7", "--engine")
     ("run", "--family", "diagonal", "--target", "diag:40"),
     # A config line that is not key = value.
     ("run", "--config", "{tmp}/no-equals.cfg"),
+    # A comment after a value is part of the value: the family "chain\"  # the chain family".
+    ("run", "--config", "{tmp}/trailing-comment.cfg"),
     # A fin: list nested past the recursion limit.
     ("run", "--family", "diagonal", "--target", "fin:" + "[" * 3000 + "]" * 3000),
 ])
@@ -304,6 +292,8 @@ def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     (tmp_path / "generalizer.cfg").write_text("family = chain\ntarget = 5\ngeneralizer = chain\n")
     (tmp_path / "low-bound.cfg").write_text("family = chain\ntarget = 0\nuniverse_bound = -1\n")
     (tmp_path / "no-equals.cfg").write_text("family = chain\ntarget 5\n")
+    (tmp_path / "trailing-comment.cfg").write_text(
+        'family = "chain"  # the chain family\ntarget = 5\n')
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run_cli(*argv, "--out", str(out)) == 1
@@ -465,15 +455,61 @@ def test_seed_is_accepted_where_it_is_read(tmp_path, flags):
     ("rows.json", '{"rows": 5}'),
     # Nested past the recursion limit, where json.loads raises RecursionError.
     pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, id="deep.json-100000-levels"),
+    ("latin1.json", b'{"rows": [], "conclusion": "caf\xe9"}'),
 ])
 def test_table_bad_report_exits_1_with_a_message(tmp_path, capsys, name, content):
     path = tmp_path / name
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     assert run_cli("table", str(path)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err
     assert captured.out == ""
+
+
+def cli_process(cwd: Path, *argv, python_flags=(), **env) -> subprocess.CompletedProcess:
+    """``cegis-lab argv`` in a fresh interpreter, run in ``cwd`` with ``env``
+    added to this process's environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cegis_lab.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, *python_flags, "-m", "cegis_lab.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_a_utf8_config_runs_in_an_ascii_locale(tmp_path):
+    (tmp_path / "run.cfg").write_bytes("family = chain\ntarget = 5\n# café\n".encode())
+    proc = cli_process(tmp_path, "run", "--config", "run.cfg",
+                       LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    golden = (GOLDEN_DIR / "chain-cegis-5.jsonl").read_bytes()
+    assert (tmp_path / "chain-cegis-5.jsonl").read_bytes() == golden
+
+
+def test_every_file_is_read_and_written_as_utf8(tmp_path):
+    """No read or write leaves the encoding to the locale: each would warn."""
+    (tmp_path / "run.cfg").write_text("family = chain\ntarget = 5\n")
+    for argv in (("run", "--family", "chain", "--target", "5"), ("run", "--config", "run.cfg"),
+                 ("demo", "lemma1", "--imax", "2"), ("table", "demo-lemma1.json"),
+                 ("table", "chain-cegis-5.summary.json")):
+        proc = cli_process(tmp_path, *argv, python_flags=(
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_an_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        pytest.fail("the run started before its output directory was made")
+
+    monkeypatch.setattr(cli, "run_engine", work)
+    monkeypatch.setattr(cli, "simulate_min_via_arbitrary", work)
+    for name in harness.DEMOS:
+        monkeypatch.setitem(harness.DEMOS, name, work)
+    (tmp_path / "afile").write_text("not a directory\n")
+    for argv in (CHAIN5, CHAIN7 + ("simulated-mincegis",), ("demo", "lemma1")):
+        assert run_cli(*argv, "--out", str(tmp_path / "afile" / "x")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def tree(root: Path) -> dict:
@@ -499,6 +535,7 @@ def test_unreadable_config_or_output_dir_exits_1_with_a_message(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert str(tmp_path) in captured.err  # the path of the config or the output directory
     assert tree(tmp_path) == before
 
 

@@ -41,7 +41,7 @@ from cegis_lab.engines import (
 )
 from cegis_lab.families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from cegis_lab.harness import (
-    ReportRow, SeparationReport, convergence_verdict, indistinguishability_demo, theorem1_pair,
+    SeparationReport, convergence_verdict, indistinguishability_demo, theorem1_pair,
 )
 from cegis_lab.logio import run_jsonl
 from cegis_lab.verifiers import (
@@ -448,7 +448,7 @@ def test_direct_and_simulated_runs_read_a_trace_in_either_order():
 THEOREM1_CHAIN = ChainFamily(max_index=12)
 THEOREM1_RECT = RectangleFamily(grid_bound=6)
 THEOREM1_DIAG = DiagonalFamily(universe_bound=60)
-THEOREM1_GOLD = GoldFamily(bound=12)
+THEOREM1_GOLD = GoldFamily(universe_bound=12)
 THEOREM1_GENS = {
     "chain": chain_generalizer(THEOREM1_CHAIN),
     "rectangle": rectangle_generalizer(THEOREM1_RECT),
@@ -474,7 +474,7 @@ def theorem1_targets(draw):
         pairs = draw(st.sets(st.sampled_from(_DIAG_PAIRS), min_size=1, max_size=6))
         ones = [p for p in _DIAG_PAIRS if p[0] == 1]
         return "diagonal", THEOREM1_DIAG.fin_language(pairs | {draw(st.sampled_from(ones))})
-    i = draw(st.integers(-1, THEOREM1_GOLD.bound))
+    i = draw(st.integers(-1, THEOREM1_GOLD.universe_bound))
     return "gold", THEOREM1_GOLD.full_language() if i < 0 else THEOREM1_GOLD.minus_language(i)
 
 
@@ -695,8 +695,8 @@ def test_gold_one_counterexample_pins_the_target_and_positives_never_do(
 ):
     """Gold: CEGIS identifies every member in at most two conjectures; with
     the counterexample channel cut, the learner never leaves gold[full]."""
-    fam = GoldFamily(bound=data.draw(st.integers(0, 60)))
-    k = data.draw(st.integers(-1, fam.bound))
+    fam = GoldFamily(universe_bound=data.draw(st.integers(0, 60)))
+    k = data.draw(st.integers(-1, fam.universe_bound))
     target = fam.full_language() if k < 0 else fam.minus_language(k)
     # gold[-0] at bound 0 is empty, which the canonical schedule cannot list.
     assume(target.mask or schedule != "canonical")
@@ -773,11 +773,10 @@ def test_value_types_are_immutable():
         (RectAux(), "hull"),
         (ChainFamily(), "max_index"),
         (DiagonalFamily(), "universe_bound"),
-        (GoldFamily(), "bound"),
+        (GoldFamily(), "universe_bound"),
         (run, "status"),
         (sim.sim_state, "mu"),
         (convergence_verdict(run, target), "status"),
-        (ReportRow("chain", "chain[2]", CEGIS, None, CONVERGED, True, 4, 1, {}), "queries"),
         (SeparationReport("title", [], "conclusion", True), "passed"),
     ]
     for value, field in values:
@@ -856,7 +855,7 @@ def test_simulation_progress_guard_fires_when_the_cache_forgets(monkeypatch):
     # A cache that never answers: the first replay, after the first sweep,
     # consumes no entry, and the simulation stops there.
     monkeypatch.setattr(LceMap, "get", lambda self, program: _TOP)
-    fam = GoldFamily(bound=8)
+    fam = GoldFamily(universe_bound=8)
     target = fam.minus_language(3)
     trace = trace_generate(target, "canonical", length=100)
     with pytest.raises(EngineError, match="simulation stopped making progress"):

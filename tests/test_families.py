@@ -78,9 +78,9 @@ def _diag_template_cases():
 
 
 def _gold_template_cases():
-    fam = GoldFamily(bound=20)
+    fam = GoldFamily(universe_bound=20)
     yield fam, 0, fam.full_language()
-    for i in range(fam.bound + 1):
+    for i in range(fam.universe_bound + 1):
         yield fam, i + 1, fam.minus_language(i)
 
 
@@ -156,23 +156,21 @@ def test_rectangle_universal_is_full_grid():
 
 
 def test_rectangle_radial_ordering():
-    fam = RectangleFamily()
+    rank = RectangleFamily().universal_language().ordering.order.index
     # Radial key: squared radius first, then x, then y.
     origin = point_encode(0, 0)
     near = point_encode(1, 0)
     far = point_encode(0, 2)
-    assert fam.ordering_key(origin) < fam.ordering_key(near) < fam.ordering_key(far)
+    assert rank(origin) < rank(near) < rank(far)
     # Among the radius-4 points, (-2, 0) comes first under the tie-break.
     ring = [point_encode(p, q) for p, q in ((0, 2), (0, -2), (2, 0), (-2, 0))]
-    assert min(ring, key=fam.ordering_key) == point_encode(-2, 0)
+    assert min(ring, key=rank) == point_encode(-2, 0)
 
 
 def test_grid32_order_and_blocks_equal_the_point_decode_reference():
     fam = RectangleFamily()
     ordering = fam.universal_language().ordering
-    universe = range(fam.universe_bound + 1)
-    assert [fam.ordering_key(c) for c in universe] == [radial_key(c) for c in universe]
-    order = tuple(sorted(universe, key=radial_key))
+    order = tuple(sorted(range(fam.universe_bound + 1), key=radial_key))
     assert ordering.order == order
     # The blocks are built out as far as a scan reads; the last code reads them all.
     assert ordering.least(1 << order[-1]) == order[-1]
@@ -183,17 +181,16 @@ def test_grid32_order_and_blocks_equal_the_point_decode_reference():
 
 @lru_cache(maxsize=None)
 def radial_cases(g: int) -> tuple:
-    """For grid g: the universe bound, its codes sorted by ``ordering_key``,
+    """For grid g: the universe bound, its codes sorted by ``radial_key``,
     and the code lists a mask of a kind is drawn from (all codes; those past
     each radius a fresh ordering builds its blocks out to; those off the
     grid)."""
     bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
-    key = RectangleFamily.ordering_key
-    order = tuple(sorted(range(bound + 1), key=key))
+    order = tuple(sorted(range(bound + 1), key=radial_key))
     pools = [order]
     r2 = RadialOrdering(bound)._r2
-    while key(order[-1])[0] > r2:
-        pools.append([c for c in order if key(c)[0] > r2])
+    while radial_key(order[-1])[0] > r2:
+        pools.append([c for c in order if radial_key(c)[0] > r2])
         r2 *= 4
     pools.append([c for c in order if max(map(abs, point_decode(c))) > g])
     return bound, order, [pool for pool in pools if pool]
@@ -221,7 +218,7 @@ def test_radial_ordering_least_is_the_key_minimum(data):
             with pytest.raises(ValueError, match="^least element of an empty set$"):
                 ordering.least(0)
         else:
-            assert ordering.least(query) == min(bits(query), key=RectangleFamily.ordering_key)
+            assert ordering.least(query) == min(bits(query), key=radial_key)
         # What is built is always a prefix of the order,
         built = [e for _, block in ordering._blocks for e in block]
         assert built == list(order[:len(built)])

@@ -124,7 +124,7 @@ def test_the_simulation_logs_no_freeze():
     # record but the replays.  That is the conjecture and probe entries only
     # because the simulation's own tally logs no freeze: the freezes of the
     # run it replays go to its direct tally.
-    chain, gold = ChainFamily(), GoldFamily(bound=12)
+    chain, gold = ChainFamily(), GoldFamily(universe_bound=12)
     cases = [(chain_generalizer(chain), chain.language(i)) for i in range(8)]
     cases += [(gold_generalizer(gold), gold.minus_language(i)) for i in range(0, 13, 3)]
     for gen, target in cases:
@@ -229,9 +229,9 @@ def test_demo_theorem1_makes_each_trace_entry_once(monkeypatch):
 def test_demo_theorem1_all_pairs_equal():
     report = demo_theorem1()
     assert report.passed
-    assert all(row.extra["equal_finals"] for row in report.rows)
-    chain_rows = [r for r in report.rows if r.family == "chain"]
-    rect_rows = [r for r in report.rows if r.family == "rectangle"]
+    assert all(row["equal_finals"] for row in report.rows)
+    chain_rows = [r for r in report.rows if r["family"] == "chain"]
+    rect_rows = [r for r in report.rows if r["family"] == "rectangle"]
     assert len(chain_rows) == 21 * 3
     assert len(rect_rows) == 11 * 3
 
@@ -239,14 +239,14 @@ def test_demo_theorem1_all_pairs_equal():
 def test_demo_lemma1_exact_counts():
     report = demo_lemma1()
     assert report.passed
-    cegis_rows = [r for r in report.rows if r.variant == CEGIS]
-    hcegis_rows = [r for r in report.rows if r.variant == HCEGIS]
+    cegis_rows = [r for r in report.rows if r["variant"] == CEGIS]
+    hcegis_rows = [r for r in report.rows if r["variant"] == HCEGIS]
     assert len(cegis_rows) == len(hcegis_rows) == 21
     for i, row in enumerate(cegis_rows):
-        assert row.status == CONVERGED and row.semantic_match
-        assert row.queries == i + 2
+        assert row["status"] == CONVERGED and row["semantic_match"]
+        assert row["queries"] == i + 2
     for row in hcegis_rows:
-        assert row.status == STALLED and row.counterexamples == 0
+        assert row["status"] == STALLED and row["counterexamples"] == 0
 
 
 def test_demo_lemma1_refuses_a_budget_below_the_query_count(monkeypatch):
@@ -261,17 +261,25 @@ def test_demo_lemma1_refuses_a_budget_below_the_query_count(monkeypatch):
     assert demo_lemma1(i_max=3, budget=5).passed
 
 
+@pytest.mark.parametrize("i_max", [-1, 121])
+def test_demo_lemma1_refuses_an_i_max_outside_the_chain(monkeypatch, i_max):
+    """Checked before the budget and before any run."""
+    monkeypatch.setattr(harness, "run_engine", None)
+    with pytest.raises(ValueError, match=rf"^demo lemma1 needs i_max in \[0, 120\], got {i_max}$"):
+        demo_lemma1(i_max=i_max, budget=1000)
+
+
 def test_demo_lemma2_both_directions():
     report = demo_lemma2()
     assert report.passed
-    hcegis_rows = [r for r in report.rows if r.variant == HCEGIS]
-    pair_rows = [r for r in report.rows if r.variant == CEGIS]
+    hcegis_rows = [r for r in report.rows if r["variant"] == HCEGIS]
+    pair_rows = [r for r in report.rows if r["variant"] == CEGIS]
     assert len(hcegis_rows) == 20  # 10 fin instances + diag 1..10
-    assert all(r.status == CONVERGED and r.semantic_match for r in hcegis_rows)
+    assert all(r["status"] == CONVERGED and r["semantic_match"] for r in hcegis_rows)
     assert len(pair_rows) == 5
     for row in pair_rows:
-        assert row.status == "indistinguishable"
-        assert row.extra["mismatched"] >= 1
+        assert row["status"] == "indistinguishable"
+        assert row["mismatched"] >= 1
 
 
 def test_indistinguishability_known_pair():
@@ -310,8 +318,8 @@ def test_demo_gold():
     report = demo_gold()
     assert report.passed
     ablations = [r for r in report.rows
-                 if r.variant == "positive-only" and r.target != "gold[full]"]
-    assert ablations and all(r.status == STALLED for r in ablations)
+                 if r["variant"] == "positive-only" and r["target"] != "gold[full]"]
+    assert ablations and all(r["status"] == STALLED for r in ablations)
 
 
 def test_demo_gold_at_a_budget_below_the_window():
@@ -319,8 +327,8 @@ def test_demo_gold_at_a_budget_below_the_window():
     # correct and unrefuted throughout, so it has converged.
     report = demo_gold(budget=5)
     assert report.passed
-    full = [r for r in report.rows if r.target == "gold[full]"]
-    assert len(full) == 2 and all(r.status == CONVERGED for r in full)
+    full = [r for r in report.rows if r["target"] == "gold[full]"]
+    assert len(full) == 2 and all(r["status"] == CONVERGED for r in full)
 
 
 def test_demo_rectangle():

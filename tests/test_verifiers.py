@@ -244,7 +244,7 @@ PROPERTY_FAMILIES = {
     "rect5": RectangleFamily(grid_bound=5),
     "rect32": RectangleFamily(grid_bound=32),
     "diagonal": DiagonalFamily(),
-    "gold": GoldFamily(bound=20),
+    "gold": GoldFamily(universe_bound=20),
 }
 
 
@@ -271,10 +271,10 @@ def language_with_reference(draw, name):
         pairs = draw(st.sets(st.tuples(st.integers(0, 1), st.integers(0, 20)), max_size=5))
         pairs |= {(1, draw(st.integers(0, 20)))}
         return fam.fin_language(pairs), frozenset(pair_encode(j, n) for j, n in pairs)
-    full = frozenset(range(fam.bound + 1))
+    full = frozenset(range(fam.universe_bound + 1))
     if draw(st.booleans()):
         return fam.full_language(), full
-    i = draw(st.integers(0, fam.bound))
+    i = draw(st.integers(0, fam.universe_bound))
     return fam.minus_language(i), full - {i}
 
 
