@@ -226,13 +226,12 @@ def cmd_demo(args) -> int:
     out = _out_dir(args.out)
     report = harness.DEMOS[args.name](**kwargs)
 
-    (out / f"demo-{args.name}.md").write_text(report.to_markdown(), encoding="utf-8")
-    (out / f"demo-{args.name}.json").write_text(
-        json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"{report.title}: passed={report.passed}")
-    print(report.conclusion)
-    return 0 if report.passed else 1
+    (out / f"demo-{args.name}.md").write_text(harness.report_markdown(report), encoding="utf-8")
+    doc = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (out / f"demo-{args.name}.json").write_text(doc, encoding="utf-8")
+    print(f"{report['title']}: passed={report['passed']}")
+    print(report["conclusion"])
+    return 0 if report["passed"] else 1
 
 
 def cmd_table(args) -> int:
@@ -252,13 +251,8 @@ def cmd_table(args) -> int:
         rows = doc["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError(f"report {args.report}: rows must be a list of objects")
-        keys = ["family", "target", "variant", "status", "semantic_match", "queries"]
-        print("| " + " | ".join(keys) + " |")
-        print("|" + "---|" * len(keys))
-        for row in rows:
-            print("| " + " | ".join(str(row.get(k, "")) for k in keys) + " |")
-        print()
-        print(f"**Conclusion**: {doc.get('conclusion', '')}")
+        from .harness import report_markdown  # as in `demo`; `run` does not load it
+        print(report_markdown(doc), end="")
         return 0
     # run summary
     print("| field | value |")

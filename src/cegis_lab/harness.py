@@ -1,5 +1,5 @@
-"""Experiment orchestration: the headline demonstrations and report
-assembly.
+"""Experiment orchestration: the headline demonstrations, each report the
+dict that ``demo-<name>.json`` holds, and the one Markdown rendering of it.
 
 Identification "in the limit" is not decidable from a finite run, so each
 run's status, set by the engine, is a finite proxy: stability of the
@@ -60,28 +60,19 @@ def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
     )
 
 
-class SeparationReport(NamedTuple):
-    """A demo's outcome.  Each row is the JSON object the report file holds:
-    family, target, variant, seed, status, semantic_match, queries and
-    counterexamples, and any key the demo adds."""
-
-    title: str
-    rows: list[dict]
-    conclusion: str
-    passed: bool
-
-    def to_markdown(self) -> str:
-        lines = [f"# {self.title}", ""]
-        header = "| family | target | variant | seed | status | match | queries | cexs |"
-        lines.append(header)
-        lines.append("|---|---|---|---|---|---|---|---|")
-        for r in self.rows:
-            lines.append(
-                f"| {r['family']} | {r['target']} | {r['variant']} | {r['seed']} | {r['status']} "
-                f"| {r['semantic_match']} | {r['queries']} | {r['counterexamples']} |"
-            )
-        lines += ["", f"**Conclusion**: {self.conclusion}", f"**Passed**: {self.passed}", ""]
-        return "\n".join(lines)
+def report_markdown(report: dict) -> str:
+    """A demo report (its ``title``, ``rows``, ``conclusion`` and ``passed``) as
+    Markdown.  Every key is read with ``get``, so that a report written
+    elsewhere renders too, a missing value blank."""
+    keys = "family target variant seed status semantic_match queries counterexamples".split()
+    lines = [f"# {report.get('title', '')}", "",
+             "| family | target | variant | seed | status | match | queries | cexs |",
+             "|---|---|---|---|---|---|---|---|"]
+    lines += ["| " + " | ".join(str(row.get(k, "")) for k in keys) + " |"
+              for row in report.get("rows", [])]
+    lines += ["", f"**Conclusion**: {report.get('conclusion', '')}",
+              f"**Passed**: {report.get('passed', '')}", ""]
+    return "\n".join(lines)
 
 
 def _row(family: str, target: Language, variant: str, run: EngineRun, **extra) -> dict:
@@ -138,7 +129,7 @@ def theorem1_pair(
     return direct, sim, equal and direct.status == sim.status
 
 
-def demo_theorem1() -> SeparationReport:
+def demo_theorem1() -> dict:
     chain, rect = ChainFamily(), RectangleFamily()
     rects = [(-1, 1, -1, 1)] + _random_rectangles(random.Random(7), 10)
     cases = (  # family, learner, targets, direct budget, trace length = simulation budget
@@ -165,14 +156,14 @@ def demo_theorem1() -> SeparationReport:
         f"direct minimal-counterexample runs and their arbitrary-counterexample "
         f"simulations agree on {agree}/{n} (family, target, seed) cases"
     )
-    return SeparationReport("theorem1-equivalence", rows, conclusion, agree == n)
+    return dict(title="theorem1-equivalence", rows=rows, conclusion=conclusion, passed=agree == n)
 
 
 # ---------------------------------------------------------------------------
 # lemma1 demo: the chain family separates arbitrary from history-bounded
 
 
-def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
+def demo_lemma1(i_max: int = 20, budget: int = 100) -> dict:
     chain = ChainFamily()
     if not 0 <= i_max <= chain.max_index:
         raise ValueError(f"demo lemma1 needs i_max in [0, {chain.max_index}], got {i_max}")
@@ -199,7 +190,7 @@ def demo_lemma1(i_max: int = 20, budget: int = 100) -> SeparationReport:
         "arbitrary counterexamples identify every chain target with i+2 subset "
         "queries; history-bounded verification never yields a counterexample and stalls"
     )
-    return SeparationReport("lemma1-separation", rows, conclusion, ok)
+    return dict(title="lemma1-separation", rows=rows, conclusion=conclusion, passed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +208,7 @@ def _crafted_fin_instances(rng: random.Random, count: int, family: DiagonalFamil
     return instances
 
 
-def demo_lemma2(budget: int = 120) -> SeparationReport:
+def demo_lemma2(budget: int = 120) -> dict:
     family = DiagonalFamily()
     gen = diag_generalizer(family)
     rows: list[dict] = []
@@ -254,7 +245,7 @@ def demo_lemma2(budget: int = 120) -> SeparationReport:
         "the arbitrary-counterexample engine produces identical runs for crafted "
         "target pairs that provably differ, so it misidentifies at least one of each"
     )
-    return SeparationReport("lemma2-separation", rows, conclusion, ok)
+    return dict(title="lemma2-separation", rows=rows, conclusion=conclusion, passed=ok)
 
 
 def indistinguishability_demo(
@@ -308,7 +299,7 @@ def indistinguishability_demo(
 # Gold family: one counterexample suffices; none can never distinguish
 
 
-def demo_gold(budget: int = 60) -> SeparationReport:
+def demo_gold(budget: int = 60) -> dict:
     family = GoldFamily()
     gen = gold_generalizer(family)
     rows: list[dict] = []
@@ -335,14 +326,14 @@ def demo_gold(budget: int = 60) -> SeparationReport:
         "with counterexamples, one refutation pins the deleted point in at most "
         "two conjectures; positive data alone never leaves the universal guess"
     )
-    return SeparationReport("gold-demo", rows, conclusion, ok)
+    return dict(title="gold-demo", rows=rows, conclusion=conclusion, passed=ok)
 
 
 # ---------------------------------------------------------------------------
 # Rectangle demo: the motivating minimal-counterexample run
 
 
-def demo_rectangle(budget: int = 600) -> SeparationReport:
+def demo_rectangle(budget: int = 600) -> dict:
     family = RectangleFamily()
     gen = rectangle_generalizer(family)
     target = family.language(-1, 1, -1, 1)
@@ -368,7 +359,7 @@ def demo_rectangle(budget: int = 600) -> SeparationReport:
         f"first minimal counterexample {first} has radial key {first_key}; "
         f"final conjecture {run.final.descriptor()}"
     )
-    return SeparationReport("rectangle-demo", rows, conclusion, ok)
+    return dict(title="rectangle-demo", rows=rows, conclusion=conclusion, passed=ok)
 
 
 DEMOS = {

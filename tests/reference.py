@@ -1,7 +1,10 @@
 """Brute-force references the tests check the package against, kept out of
 ``src`` because nothing in the package reads them."""
 
+from collections import deque
 from functools import cached_property
+from itertools import count, islice
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 from cegis_lab.core import (
@@ -17,6 +20,13 @@ from cegis_lab.core import (
 )
 from cegis_lab.engines import (
     _TOP,
+    BUDGET_EXHAUSTED,
+    CEGIS,
+    CONVERGED,
+    HCEGIS,
+    MINCEGIS,
+    POSITIVE_ONLY,
+    STALLED,
     EngineError,
     EngineRun,
     Generalizer,
@@ -24,10 +34,9 @@ from cegis_lab.engines import (
     LceMap,
     SimState,
     _new_tuple,
-    _Tally,
 )
 from cegis_lab.families import RadialOrdering
-from cegis_lab.verifiers import CexStrategy, check
+from cegis_lab.verifiers import FIRST_FOUND_STRATEGY, CexStrategy, check, hcheck, mincheck
 
 
 def smpl(entries: Iterable[TraceEntry]) -> frozenset:
@@ -197,6 +206,84 @@ def rectangle_shrink(bounds, hull, xc: int, yc: int):
     raise EngineError(f"counterexample ({xc},{yc}) inside the positive hull {hull}")
 
 
+def direct_loop(target: Language, entries: Iterable[TraceEntry], generalizer: Generalizer,
+                window: int, oracle: Callable, probing: bool = False):
+    """The direct loop as the README's run semantics state it, kept apart
+    from ``engines._Tally``.  Iteration i asks ``oracle(language, history)``
+    about the conjecture, the history being every entry read before entry i;
+    logs that query; reads entry i; and applies the learner's step, handing
+    it ``oracle`` on the history through entry i as its probe when
+    ``probing``.  The run stops once its conjecture froze, or stood
+    unrefuted for ``window`` iterations having been refuted before or being
+    right.  Yields the run's state before its first iteration and after
+    each one."""
+    run = SimpleNamespace(records=[], final=generalizer.initial, queries=0, probes=0, cexs=0,
+                          streak=0, last_change=0, stopped=False)
+    history: list[TraceEntry] = []
+
+    def probe(language: Language) -> Optional[int]:
+        run.probes += 1
+        return oracle(language, history)
+
+    yield run
+    for i, entry in enumerate(entries, 1):
+        prev = run.final
+        cex = oracle(prev.language, history)
+        run.records.append(IterationRecord(i, entry, prev.language.descriptor, cex, "conjecture"))
+        run.queries += 1
+        run.cexs += cex is not None
+        history.append(entry)
+        run.final = generalizer.step(prev, entry, cex, probe if probing else None)
+        if run.final.language.mask != prev.language.mask:
+            run.streak, run.last_change = 0, i
+        else:
+            run.streak = 0 if cex is not None else run.streak + 1
+        frozen = getattr(run.final.aux, "frozen", False)
+        if frozen:
+            run.records.append(IterationRecord(i, entry, run.final.descriptor(), None, "freeze"))
+        right = run.final.language.mask == target.mask
+        run.stopped = frozen or run.streak >= window and (run.cexs > 0 or right)
+        yield run
+        if run.stopped:
+            return
+
+
+def run_status(stopped: bool, length: int, cexs: int, streak: int, window: int,
+               right: bool) -> str:
+    """The README's status of a run of ``length`` records: converged when it
+    stopped, or when its budget ended on a right conjecture that stood
+    unrefuted for the window or the whole run, whichever is shorter; stalled
+    when it was never refuted and ended wrong; else budget-exhausted (also a
+    run with no record)."""
+    if stopped or length and right and streak >= min(window, length):
+        return CONVERGED
+    return STALLED if length and not cexs and not right else BUDGET_EXHAUSTED
+
+
+def reference_run(variant: str, target: Language, trace: Trace, generalizer: Generalizer,
+                  strategy: CexStrategy = FIRST_FOUND_STRATEGY, budget: int = 100,
+                  stability_window: int = 10) -> EngineRun:
+    """``engines.run_engine`` through ``direct_loop``, with its oracles:
+    ``hcheck`` reads the whole history."""
+    oracle = {
+        CEGIS: lambda language, history: check(language, target, strategy),
+        MINCEGIS: lambda language, history: mincheck(language, target),
+        HCEGIS: lambda language, history: hcheck(language, target, history),
+        POSITIVE_ONLY: lambda language, history: None,
+    }[variant]
+    loop = direct_loop(target, islice(trace, budget), generalizer, stability_window, oracle,
+                       probing=variant == HCEGIS)
+    run = next(loop)
+    for _ in loop:
+        pass
+    right = run.final.language.mask == target.mask
+    status = run_status(run.stopped, len(run.records), run.cexs, run.streak, stability_window,
+                        right)
+    converged_at = run.last_change if status == CONVERGED else None
+    return EngineRun(run.records, run.final, status, converged_at, run.queries, run.probes,
+                     run.cexs, stability_window, right)
+
+
 def simulate_by_index(
     target: Language,
     trace: Trace,
@@ -207,7 +294,9 @@ def simulate_by_index(
 ) -> EngineRun:
     """The simulation as one micro-step per trace entry: the loop
     ``engines.simulate_min_via_arbitrary`` replaced with one probe-sweep
-    loop, kept to check that loop against."""
+    loop, kept to check that loop against.  It replays the direct run
+    through ``direct_loop``, each cached minimal counterexample as a
+    verdict, and classifies itself by ``run_status``."""
     strategy = strategy or CexStrategy()
     limit = min(budget, len(trace))
 
@@ -219,12 +308,15 @@ def simulate_by_index(
     # While a sweep runs, the singleton probe {order[mu]} & p_last; else None.
     probe: Optional[Language] = None
     mu = 0
-    backlog: list[TraceEntry] = []
+    backlog: deque = deque()
     tau_done = 0
 
-    tally = _Tally(target, stability_window, generalizer.step)
-    # The simulated direct run: its streak and counterexample count, no queries.
-    direct = _Tally(target, stability_window, generalizer.step)
+    records: list[IterationRecord] = []
+    queries = cexs = streak = last_change = 0
+    # The simulated direct run reads the backlog's entries, each as it is replayed.
+    direct = direct_loop(target, (backlog.popleft() for _ in count()), generalizer,
+                         stability_window, lambda language, history: lce._entries[language.mask])
+    replayed = next(direct)
     since_progress = 0
 
     for m, entry in zip(range(1, limit + 1), trace):
@@ -237,14 +329,14 @@ def simulate_by_index(
 
         if probe is None:
             cex = check(p_last.language, target, strategy)
-            tally.query(m, entry, p_last.descriptor(), cex, "conjecture")
+            records.append(IterationRecord(m, entry, p_last.descriptor(), cex, "conjecture"))
             if cex is None:  # Case 1.2
                 lce.set(p_last, None)
             # Case 1.1.2 sweeps for the minimum; in Case 1.1.1 it is cached.
             sweep = cex is not None and lce.get(p_last) is _TOP
         else:
             cex = check(probe, target, strategy)
-            tally.query(m, entry, probe.descriptor, cex, "probe")
+            records.append(IterationRecord(m, entry, probe.descriptor, cex, "probe"))
             sweep = cex is None
             if sweep:  # Case 2.2
                 mu += 1
@@ -256,6 +348,8 @@ def simulate_by_index(
                 lce.set(p_last, cex)
                 mu = 0  # also where the next sweep starts
                 probe = None
+        queries += 1
+        cexs += cex is not None
         if sweep:
             # The singleton probe {order[mu]} & p_last, built in place
             k = order[mu]
@@ -268,33 +362,31 @@ def simulate_by_index(
 
         # Replay the backlog as far as the cache allows, each entry as the next
         # direct iteration with its cached minimal counterexample as verdict.
-        prog = p_last
         consumed = 0
-        for e in backlog:
-            value = lce.get(prog)
-            if value is _TOP:
-                break
+        while backlog and not replayed.stopped and lce.get(replayed.final) is not _TOP:
+            next(direct)
             consumed += 1
-            direct.cex_count += value is not None
-            prog = direct.iterate(tau_done + consumed, e, prog, value)
-            if direct.stopped:
-                break
-        del backlog[:consumed]
         tau_done += consumed
         if consumed:
             since_progress = 0
+        prog = replayed.final
         changed = prog.language.mask != p_last.language.mask
-        tally.settle(m, changed, cex)
+        if changed:
+            last_change = m
+        streak = 0 if changed or cex is not None else streak + 1
         # Logged always after a counterexample, else only on a change.
         if cex is not None or changed:
-            tally.records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
+            records.append(IterationRecord(m, None, prog.descriptor(), None, "replay"))
         p_last = prog
-        if direct.stopped:
+        if replayed.stopped:
             break
 
     # A run cut mid-sweep reports the pending probe as its simulated program.
     p_sim = p_last if probe is None else Program(("probe", order[mu]), probe)
-    return tally.finish(
-        p_last, sim_state=SimState(lce, p_sim, mu, tuple(backlog), tau_done),
-        ruled_by=(direct, tau_done) if direct.stopped else None,
+    right = p_last.language.mask == target.mask
+    # Ended where the direct run stops, it is classified as that run.
+    status = run_status(replayed.stopped, len(records), cexs, streak, stability_window, right)
+    return EngineRun(
+        records, p_last, status, last_change if status == CONVERGED else None, queries, 0, cexs,
+        stability_window, right, SimState(lce, p_sim, mu, tuple(backlog), tau_done),
     )

@@ -32,10 +32,11 @@ def test_criterion_1_theorem1_equivalence():
     start = time.monotonic()
     rep = demo_theorem1()
     elapsed = time.monotonic() - start
-    all_equal = all(row["equal_finals"] for row in rep.rows)
-    ok = rep.passed and all_equal and len(rep.rows) == 96 and elapsed < 60.0
+    rows = rep["rows"]
+    all_equal = all(row["equal_finals"] for row in rows)
+    ok = rep["passed"] and all_equal and len(rows) == 96 and elapsed < 60.0
     assert report(
-        f"criterion 1: theorem-1 equivalence on {len(rep.rows)} cases "
+        f"criterion 1: theorem-1 equivalence on {len(rows)} cases "
         f"in {elapsed:.1f}s", ok)
 
 
@@ -56,7 +57,7 @@ def test_criterion_2_lemma1_separation():
 
 def test_criterion_3_lemma2_positive():
     rep = demo_lemma2()
-    rows = [r for r in rep.rows if r["variant"] == HCEGIS]
+    rows = [r for r in rep["rows"] if r["variant"] == HCEGIS]
     fin_rows = [r for r in rows if r["target"].startswith("fin")]
     diag_rows = [r for r in rows if r["target"].startswith("diag")]
     ok = (

@@ -170,9 +170,48 @@ def test_table_subcommand(tmp_path, capsys):
     run_cli("demo", "lemma1", "--imax", "2", "--out", str(tmp_path))
     capsys.readouterr()
     assert run_cli("table", str(tmp_path / "demo-lemma1.json")) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("| family |")
-    assert "Conclusion" in out
+    # A demo report renders as the Markdown that `demo` wrote beside it.
+    assert capsys.readouterr().out == (tmp_path / "demo-lemma1.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_table_prints_the_golden_markdown_of_each_demo(demo):
+    code, out, err = invoke(["table", str(GOLDEN_DIR / f"demo-{demo}.json")])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"demo-{demo}.md").read_bytes()
+
+
+ROW_KEYS = ("family", "target", "variant", "seed", "status", "semantic_match", "queries",
+            "counterexamples")
+JSON_TEXT = st.text(max_size=8) | st.sampled_from(["|", "a | b", "|---|", "\n"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+REPORT_ROWS = st.lists(
+    st.fixed_dictionaries({}, optional={key: JSON_VALUES for key in ROW_KEYS + ("extra",)}),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.fixed_dictionaries({}, optional={
+    "title": JSON_VALUES, "rows": REPORT_ROWS | JSON_VALUES, "conclusion": JSON_VALUES,
+    "passed": JSON_VALUES, "verdict": JSON_VALUES,
+}))
+def test_table_never_shows_a_traceback(doc):
+    """Any JSON object, with or without rows, renders (exit 0, nothing on
+    stderr) or is refused with one ``error:`` line (exit 1, nothing on stdout)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(["table", str(path)])
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_table_renders_a_run_summary(tmp_path, capsys):

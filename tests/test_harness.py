@@ -222,25 +222,25 @@ def test_theorem1_pair_runs_equal_the_runs_on_fresh_traces(
 def test_demo_theorem1_makes_each_trace_entry_once(monkeypatch):
     # One iteration per case: a second one, for the direct run, made 20,077.
     made = entries_made(monkeypatch)
-    assert demo_theorem1().passed
+    assert demo_theorem1()["passed"]
     assert (len(made), sum(made)) == (96, 16_378)
 
 
 def test_demo_theorem1_all_pairs_equal():
     report = demo_theorem1()
-    assert report.passed
-    assert all(row["equal_finals"] for row in report.rows)
-    chain_rows = [r for r in report.rows if r["family"] == "chain"]
-    rect_rows = [r for r in report.rows if r["family"] == "rectangle"]
+    assert report["passed"]
+    assert all(row["equal_finals"] for row in report["rows"])
+    chain_rows = [r for r in report["rows"] if r["family"] == "chain"]
+    rect_rows = [r for r in report["rows"] if r["family"] == "rectangle"]
     assert len(chain_rows) == 21 * 3
     assert len(rect_rows) == 11 * 3
 
 
 def test_demo_lemma1_exact_counts():
     report = demo_lemma1()
-    assert report.passed
-    cegis_rows = [r for r in report.rows if r["variant"] == CEGIS]
-    hcegis_rows = [r for r in report.rows if r["variant"] == HCEGIS]
+    assert report["passed"]
+    cegis_rows = [r for r in report["rows"] if r["variant"] == CEGIS]
+    hcegis_rows = [r for r in report["rows"] if r["variant"] == HCEGIS]
     assert len(cegis_rows) == len(hcegis_rows) == 21
     for i, row in enumerate(cegis_rows):
         assert row["status"] == CONVERGED and row["semantic_match"]
@@ -258,7 +258,7 @@ def test_demo_lemma1_refuses_a_budget_below_the_query_count(monkeypatch):
     with pytest.raises(ValueError, match=r"= 101 .* got 100$"):
         demo_lemma1(i_max=99)
     monkeypatch.undo()
-    assert demo_lemma1(i_max=3, budget=5).passed
+    assert demo_lemma1(i_max=3, budget=5)["passed"]
 
 
 @pytest.mark.parametrize("i_max", [-1, 121])
@@ -271,9 +271,9 @@ def test_demo_lemma1_refuses_an_i_max_outside_the_chain(monkeypatch, i_max):
 
 def test_demo_lemma2_both_directions():
     report = demo_lemma2()
-    assert report.passed
-    hcegis_rows = [r for r in report.rows if r["variant"] == HCEGIS]
-    pair_rows = [r for r in report.rows if r["variant"] == CEGIS]
+    assert report["passed"]
+    hcegis_rows = [r for r in report["rows"] if r["variant"] == HCEGIS]
+    pair_rows = [r for r in report["rows"] if r["variant"] == CEGIS]
     assert len(hcegis_rows) == 20  # 10 fin instances + diag 1..10
     assert all(r["status"] == CONVERGED and r["semantic_match"] for r in hcegis_rows)
     assert len(pair_rows) == 5
@@ -316,8 +316,8 @@ def test_indistinguishability_skips_a_pair_the_verifier_cannot_refute():
 
 def test_demo_gold():
     report = demo_gold()
-    assert report.passed
-    ablations = [r for r in report.rows
+    assert report["passed"]
+    ablations = [r for r in report["rows"]
                  if r["variant"] == "positive-only" and r["target"] != "gold[full]"]
     assert ablations and all(r["status"] == STALLED for r in ablations)
 
@@ -326,14 +326,14 @@ def test_demo_gold_at_a_budget_below_the_window():
     # Each gold[full] run ends at budget 5, before its window of 10: it is
     # correct and unrefuted throughout, so it has converged.
     report = demo_gold(budget=5)
-    assert report.passed
-    full = [r for r in report.rows if r["target"] == "gold[full]"]
+    assert report["passed"]
+    full = [r for r in report["rows"] if r["target"] == "gold[full]"]
     assert len(full) == 2 and all(r["status"] == CONVERGED for r in full)
 
 
 def test_demo_rectangle():
     report = demo_rectangle()
-    assert report.passed
+    assert report["passed"]
 
 
 def test_demo_registry_complete():
