@@ -212,18 +212,10 @@ def cmd_run(args) -> int:
 def cmd_demo(args) -> int:
     from . import harness  # the demos; `run` does not load them
 
-    if args.name not in harness.DEMOS:
-        raise ValueError(f"unknown demo: {args.name}")
-    kwargs = {}
-    if args.imax is not None:
-        if args.name != "lemma1":
-            raise ValueError(f"demo {args.name} takes no --imax")
-        kwargs["i_max"] = args.imax
+    kwargs = harness.demo_kwargs(args.name, args.imax, args.budget)
     if args.budget is not None:
-        if args.name == "theorem1":
-            raise ValueError("demo theorem1 takes no --budget")
-        kwargs["budget"] = _check_budget(args.budget)
-    out = _out_dir(args.out)
+        _check_budget(args.budget)
+    out = _out_dir(args.out)  # only once the flags are known good: a refused demo makes nothing
     report = harness.DEMOS[args.name](**kwargs)
 
     (out / f"demo-{args.name}.md").write_text(harness.report_markdown(report), encoding="utf-8")
@@ -247,18 +239,16 @@ def cmd_table(args) -> int:
         raise ValueError(f"report {args.report} nests too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"report {args.report} is not a JSON object")
+    from . import harness  # as in `demo`; `run` does not load it
+
     if "rows" in doc:  # demo report
         rows = doc["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError(f"report {args.report}: rows must be a list of objects")
-        from .harness import report_markdown  # as in `demo`; `run` does not load it
-        print(report_markdown(doc), end="")
-        return 0
-    # run summary
-    print("| field | value |")
-    print("|---|---|")
-    for key in sorted(doc):
-        print(f"| {key} | {doc[key]} |")
+        print(harness.report_markdown(doc), end="")
+    else:  # run summary
+        print("\n".join(harness.markdown_table(("field", "value"),
+                                                ((key, doc[key]) for key in sorted(doc)))))
     return 0
 
 

@@ -34,6 +34,16 @@ class ChainFamily(NamedTuple):
         return Language((1 << i + 1) - 1, self.universe_bound, f"chain[{i}]")
 
 
+def _mask(codes: Iterable[int], bound: int) -> int:
+    """The bitmask of ``codes``, each in [0, bound].  Its bits are set in
+    bytes: an OR of 1 << code per code would copy an int as wide as the
+    bound each time."""
+    buf = bytearray(bound // 8 + 1)
+    for code in codes:
+        buf[code >> 3] |= 1 << (code & 7)
+    return int.from_bytes(buf, "little")
+
+
 class RectangleFamily:
     """Axis-aligned rectangles on a signed grid, encoded as pair-codes.
 
@@ -52,24 +62,17 @@ class RectangleFamily:
     def __init__(self, grid_bound: int = 32):
         g = self.grid_bound = grid_bound
         span = range(-g, g + 1)
-        # point_encode(x, y) inline: the Cantor code of the zigzagged axes
+        bound = self.universe_bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
+        # point_encode(x, y) inline: grid[i][j] is the Cantor code of the
+        # zigzagged axes of the point (i - g, j - g).
         zigzag = [2 * z if z >= 0 else -2 * z - 1 for z in span]
-        points: dict[int, tuple[int, int]] = {}
-        columns = [0] * len(span)
-        rows = [0] * len(span)
-        for i, (x, zx) in enumerate(zip(span, zigzag)):
-            for j, (y, zy) in enumerate(zip(span, zigzag)):
-                s = zx + zy
-                code = s * (s + 1) // 2 + zy
-                points[code] = (x, y)
-                columns[i] |= 1 << code
-                rows[j] |= 1 << code
+        grid = [[(zx + zy) * (zx + zy + 1) // 2 + zy for zy in zigzag] for zx in zigzag]
+        points = {code: (x, y) for x, codes in zip(span, grid) for y, code in zip(span, codes)}
         # _columns[i] is the bitmask of the grid points with x < i - g,
         # _rows[i] the same for y, so a rectangle is four big-int operations.
-        self._columns = tuple(accumulate(columns, or_, initial=0))
-        self._rows = tuple(accumulate(rows, or_, initial=0))
-        self.universe_bound = pair_encode(zigzag_encode(g), zigzag_encode(g))
-        self._ordering = RadialOrdering(self.universe_bound)
+        self._columns = tuple(accumulate((_mask(c, bound) for c in grid), or_, initial=0))
+        self._rows = tuple(accumulate((_mask(r, bound) for r in zip(*grid)), or_, initial=0))
+        self._ordering = RadialOrdering(bound)
         self.decode = points.__getitem__
 
     def language(self, ax: int, bx: int, ay: int, by: int) -> Language:
@@ -127,14 +130,11 @@ class RadialOrdering:
         """Block the codes within radius^2 ``_r2``, and quadruple it.  Those
         codes begin with the ones already blocked, so only a short last
         block is built again."""
-        codes, blocks, size = self._within(self._r2), self._blocks, self.bound // 8 + 1
+        codes, blocks = self._within(self._r2), self._blocks
         if blocks and len(blocks[-1][1]) < 64:
             blocks.pop()
         for s in range(64 * len(blocks), len(codes), 64):
-            buf = bytearray(size)  # one int from bytes, not a big int per element
-            for e in codes[s:s + 64]:
-                buf[e >> 3] |= 1 << (e & 7)
-            blocks.append((int.from_bytes(buf, "little"), codes[s:s + 64]))
+            blocks.append((_mask(codes[s:s + 64], self.bound), codes[s:s + 64]))
         self._r2 = None if len(codes) > self.bound else 4 * self._r2
 
     def _within(self, r2: int) -> tuple[int, ...]:

@@ -11,7 +11,9 @@ observable signature of non-identifiability in every separation demo here.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Sequence
+import re
+from inspect import signature
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     CANONICAL,
@@ -60,16 +62,28 @@ def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
     )
 
 
+_LINE_BREAK = re.compile(r"\r\n|[\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+
+
+def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """A Markdown table's lines: ``header``, its rule, and one line per row,
+    each cell ``str(value)`` with ``|`` written ``\\|`` and each line break
+    (what ``str.splitlines`` splits at) ``<br>``."""
+    def line(cells) -> str:
+        return "| " + " | ".join(_LINE_BREAK.sub("<br>", str(c).replace("|", r"\|"))
+                                 for c in cells) + " |"
+    return [line(header), "|" + "---|" * len(header)] + [line(row) for row in rows]
+
+
 def report_markdown(report: dict) -> str:
     """A demo report (its ``title``, ``rows``, ``conclusion`` and ``passed``) as
     Markdown.  Every key is read with ``get``, so that a report written
     elsewhere renders too, a missing value blank."""
     keys = "family target variant seed status semantic_match queries counterexamples".split()
-    lines = [f"# {report.get('title', '')}", "",
-             "| family | target | variant | seed | status | match | queries | cexs |",
-             "|---|---|---|---|---|---|---|---|"]
-    lines += ["| " + " | ".join(str(row.get(k, "")) for k in keys) + " |"
-              for row in report.get("rows", [])]
+    header = "family target variant seed status match queries cexs".split()
+    lines = [f"# {report.get('title', '')}", ""]
+    lines += markdown_table(header, ([row.get(k, "") for k in keys]
+                                     for row in report.get("rows", [])))
     lines += ["", f"**Conclusion**: {report.get('conclusion', '')}",
               f"**Passed**: {report.get('passed', '')}", ""]
     return "\n".join(lines)
@@ -164,12 +178,8 @@ def demo_theorem1() -> dict:
 
 
 def demo_lemma1(i_max: int = 20, budget: int = 100) -> dict:
+    demo_kwargs("lemma1", i_max, budget)
     chain = ChainFamily()
-    if not 0 <= i_max <= chain.max_index:
-        raise ValueError(f"demo lemma1 needs i_max in [0, {chain.max_index}], got {i_max}")
-    if budget < i_max + 2:
-        raise ValueError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
-                         f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
     gen = chain_generalizer(chain)
     rows: list[dict] = []
     ok = True
@@ -360,6 +370,32 @@ def demo_rectangle(budget: int = 600) -> dict:
         f"final conjecture {run.final.descriptor()}"
     )
     return dict(title="rectangle-demo", rows=rows, conclusion=conclusion, passed=ok)
+
+
+def demo_kwargs(name: str, i_max: Optional[int] = None, budget: Optional[int] = None) -> dict:
+    """The keyword arguments that run demo ``name`` with the ``--imax`` and
+    ``--budget`` given (None: not given), or a ValueError, before any run: a
+    demo takes the flags that name its parameters, and lemma1's ``i_max``,
+    given or its default, indexes the chain and is at most its budget - 2."""
+    if name not in DEMOS:
+        raise ValueError(f"unknown demo: {name}")
+    kwargs = {}
+    for key, flag, value in (("i_max", "--imax", i_max), ("budget", "--budget", budget)):
+        if value is not None:
+            if key not in signature(DEMOS[name]).parameters:
+                raise ValueError(f"demo {name} takes no {flag}")
+            kwargs[key] = value
+    if name == "lemma1":
+        call = signature(demo_lemma1).bind(**kwargs)
+        call.apply_defaults()
+        i_max, budget = call.args
+        top = ChainFamily().max_index
+        if not 0 <= i_max <= top:
+            raise ValueError(f"demo lemma1 needs i_max in [0, {top}], got {i_max}")
+        if budget < i_max + 2:
+            raise ValueError(f"demo lemma1 needs a budget of at least i_max + 2 = {i_max + 2} "
+                             f"(Lemma 1's query count for chain[{i_max}]), got {budget}")
+    return kwargs
 
 
 DEMOS = {

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -181,6 +182,7 @@ def test_table_prints_the_golden_markdown_of_each_demo(demo):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"demo-{demo}.md").read_bytes()
 
 
+DEMO_HEADER = "| family | target | variant | seed | status | match | queries | cexs |"
 ROW_KEYS = ("family", "target", "variant", "seed", "status", "semantic_match", "queries",
             "counterexamples")
 JSON_TEXT = st.text(max_size=8) | st.sampled_from(["|", "a | b", "|---|", "\n"])
@@ -202,13 +204,28 @@ REPORT_ROWS = st.lists(
 }))
 def test_table_never_shows_a_traceback(doc):
     """Any JSON object, with or without rows, renders (exit 0, nothing on
-    stderr) or is refused with one ``error:`` line (exit 1, nothing on stdout)."""
+    stderr) or is refused with one ``error:`` line (exit 1, nothing on stdout).
+    A rendered table has one line per report row, or per key of a run summary,
+    each with the header's cell count: a ``|`` or a line break in a value
+    stays inside its cell."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = invoke(["table", str(path)])
     if code == 0:
         assert err == ""
+        lines = out.splitlines()
+        if "rows" in doc:  # a demo report: its table ends at a blank line
+            header, rows, after = DEMO_HEADER, doc["rows"], [""]
+        else:  # a run summary: its table is the whole output
+            header, rows, after = "| field | value |", doc, []
+        cells = len(header.split(" | "))
+        top = lines.index(header) + 2
+        assert lines[top - 1] == "|" + "---|" * cells
+        assert lines[top + len(rows):top + len(rows) + 1] == after
+        for line in lines[top:top + len(rows)]:
+            assert line.startswith("| ") and line.endswith(" |")
+            assert len(re.split(r"(?<!\\)\|", line)) == cells + 2  # unescaped pipes
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -338,7 +355,7 @@ def test_bad_flags_exit_1_with_a_message(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,code,queries", [
@@ -741,3 +758,60 @@ def test_cli_contract_property(defect, data):
             runs[delivery] = written
         if len(runs) == 2:
             assert runs["flags"] == runs["config"]
+
+
+# ---------------------------------------------------------------------------
+# The demo contract as a property: a demo name, --imax and --budget, each
+# drawn inside or outside what the demo accepts.
+
+@st.composite
+def demo_settings(draw):
+    """(name, imax, budget), None for a flag not given.  A valid theorem1 runs
+    for seconds, so theorem1 is drawn only with a flag it refuses."""
+    name = draw(st.sampled_from(DEMOS + ("nosuch",)))
+    imax = budget = None  # each flag is given half the time
+    if draw(st.booleans()):  # in range, or outside [0, 120]
+        imax = draw(st.integers(0, 6) | st.integers(-5, -1) | st.integers(121, 200))
+    if draw(st.booleans()):  # below 1, at least 1, or above sys.maxsize
+        budget = draw(st.integers(-3, 0) | st.integers(1, 40) | st.integers(sys.maxsize + 1, 2**70))
+    if name == "theorem1" and imax is None and budget is None:
+        budget = draw(st.integers(-3, 40))
+    return name, imax, budget
+
+
+def demo_is_bad_input(name, imax, budget) -> bool:
+    """Whether one of the README's bad-input rules for `demo` applies."""
+    if name not in DEMOS:
+        return True  # an unknown demo
+    if imax is not None and name != "lemma1" or budget is not None and name == "theorem1":
+        return True  # a flag the demo does not take
+    if budget is not None and not 1 <= budget <= sys.maxsize:
+        return True  # a budget below 1 or above sys.maxsize
+    if name == "lemma1":  # its defaults are i_max 20 and budget 100
+        imax, budget = 20 if imax is None else imax, 100 if budget is None else budget
+        return not 0 <= imax <= 120 or budget < imax + 2
+    return False
+
+
+@settings(max_examples=300, deadline=None)  # about 30 of them run a demo
+@given(case=demo_settings())
+def test_demo_contract_property(case):
+    """Bad input exits 1 with an empty stdout, one ``error:`` line and no
+    ``--out`` made; any other demo writes its two reports and exits 0
+    exactly when its conclusion holds."""
+    name, imax, budget = case
+    flags = [f"--{flag}={value}" for flag, value in (("imax", imax), ("budget", budget))
+             if value is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out" / "sub"
+        code, stdout, stderr = invoke(["demo", name, *flags, "--out", str(out)])
+        if demo_is_bad_input(name, imax, budget):
+            assert code == 1 and stdout == ""
+            assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+            assert not (Path(tmp) / "out").exists()
+            return
+        assert stderr == ""
+        assert sorted(p.name for p in out.iterdir()) == [f"demo-{name}.json", f"demo-{name}.md"]
+        report = json.loads((out / f"demo-{name}.json").read_text(encoding="utf-8"))
+        assert code == (0 if report["passed"] else 1)
+        assert stdout.startswith(f"{report['title']}: passed={report['passed']}\n")

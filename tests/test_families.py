@@ -149,6 +149,19 @@ def test_decode_reads_the_point_table(g):
         fam.decode(outside)
 
 
+@pytest.mark.parametrize("g", range(9))
+def test_rectangle_tables_equal_a_build_from_point_encode(g):
+    """_columns[i] and _rows[i] hold the grid points with x, and y, below i - g."""
+    fam = RectangleFamily(grid_bound=g)
+    span = range(-g, g + 1)
+    points = {point_encode(x, y): (x, y) for x in span for y in span}
+    assert fam.universe_bound == max(points)
+    assert fam.decode.__self__ == points
+    below = range(-g, g + 2)
+    assert fam._columns == tuple(sum(1 << c for c, (x, _) in points.items() if x < i) for i in below)
+    assert fam._rows == tuple(sum(1 << c for c, (_, y) in points.items() if y < i) for i in below)
+
+
 def test_rectangle_universal_is_full_grid():
     fam = RectangleFamily(grid_bound=4)
     uni = fam.universal_language()

@@ -217,6 +217,18 @@ def test_seeded_random_strategy_deterministic():
         assert 6 <= p <= 20
 
 
+def test_a_strategy_without_a_seed_uses_seed_0():
+    # Seeds -1, 0 and 1 pick 48, 57 and 42 from this difference set.
+    mask = sum(1 << e for e in range(0, 64, 3))
+    assert CexStrategy(SEEDED_RANDOM).select(mask) == 57
+    assert CexStrategy(SEEDED_RANDOM, seed=0).select(mask) == 57
+
+
+def test_an_unknown_strategy_kind_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown strategy kind: nosuch$"):
+        CexStrategy("nosuch")
+
+
 def test_adversarial_max_strategy():
     chain = ChainFamily()
     cex = check(chain.language(9), chain.language(5), CexStrategy(ADVERSARIAL_MAX))
