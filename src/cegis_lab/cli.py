@@ -21,13 +21,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import CANONICAL, PADDED_SEEDED, SEEDED_RANDOM, trace_generate
+from .core import CANONICAL, PADDED_SEEDED, SCHEDULES, SEEDED_RANDOM, trace_generate
 from .engines import (
     CEGIS,
     CONVERGED,
+    ENGINES,
     SIMULATED_MINCEGIS,
     STALLED,
-    VARIANTS,
     EngineError,
     chain_generalizer,
     default_budget,
@@ -40,25 +40,34 @@ from .engines import (
 )
 from .families import ChainFamily, DiagonalFamily, GoldFamily, RectangleFamily
 from .logio import run_jsonl, summary_dict
-from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, SEEDED_RANDOM as RANDOM_CEX, CexStrategy
+from .verifiers import CONSISTENT_AVOIDING, FIRST_FOUND, STRATEGIES, CexStrategy
+from .verifiers import SEEDED_RANDOM as RANDOM_CEX
 
 
 # Gold and diagonal languages are (B+1)-bit masks, so their bound has a
 # ceiling; a chain mask is min(i, B)+1 bits, and a rectangle's grid fixes B.
 MASK_CEILING = 1 << 20
+FAMILIES = ("chain", "rectangle", "diagonal", "gold")
+# harness.DEMOS's names, stated here so that `run` does not load the demos
+DEMOS = ("theorem1", "lemma1", "lemma2", "rectangle", "gold")
+ASKS_CHECK = (CEGIS, SIMULATED_MINCEGIS)  # the engines that take a strategy
+
+
+def _read(kind: str, path: str) -> str:
+    """The text of the UTF-8 file at ``path``, a ``kind`` (config or report)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} {path} is not UTF-8: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
     """A UTF-8 file of one ``key = value`` per line, the value optionally quoted;
     a ``#`` comment stands on its own line, as after a value it is part of it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"config {path} is not UTF-8: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read("config", path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -87,6 +96,8 @@ def _setup(name: str, bound: Optional[int], spec: str):
                              f"got {bound}")
         return bound
 
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family: {name}")
     if name == "chain":
         family = ChainFamily() if bound is None else ChainFamily(within(2) - 2)
     elif name == "rectangle":
@@ -95,10 +106,8 @@ def _setup(name: str, bound: Optional[int], spec: str):
         family = RectangleFamily()
     elif name == "diagonal":
         family = DiagonalFamily() if bound is None else DiagonalFamily(within(0, MASK_CEILING))
-    elif name == "gold":
-        family = GoldFamily() if bound is None else GoldFamily(within(0, MASK_CEILING))
     else:
-        raise ValueError(f"unknown family: {name}")
+        family = GoldFamily() if bound is None else GoldFamily(within(0, MASK_CEILING))
     try:
         if name == "chain":
             return family, family.language(int(spec)), chain_generalizer(family)
@@ -125,9 +134,16 @@ def _setup(name: str, bound: Optional[int], spec: str):
 
 
 def _out_dir(arg: Optional[str]) -> Path:
-    base = arg or os.environ.get("CEGIS_LAB_LOG_DIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, made with its missing parents; if it cannot be
+    made, the parents made for it are removed again, deepest first."""
+    path = Path(arg or os.environ.get("CEGIS_LAB_LOG_DIR") or ".")
+    missing = [parent for parent in path.parents if not os.path.lexists(parent)]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        for parent in filter(Path.is_dir, missing):
+            parent.rmdir()
+        raise
     return path
 
 
@@ -165,15 +181,15 @@ def cmd_run(args) -> int:
                          f"the keys are {', '.join(sorted(read))}")
     if family_name is None or target_spec is None:
         raise ValueError("run requires --family and --target")
-    if engine not in VARIANTS + (SIMULATED_MINCEGIS,):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine: {engine}")
 
     family, target, generalizer = _setup(family_name, bound, target_spec)
     budget = _check_budget(default_budget(target) if budget is None else budget)
     window = min(default_stability_window(target), budget)
-    if kind is not None and engine not in (CEGIS, SIMULATED_MINCEGIS):
-        raise ValueError(f"engine {engine} takes no strategy: only cegis and "
-                         f"simulated-mincegis ask the arbitrary-counterexample oracle")
+    if kind is not None and engine not in ASKS_CHECK:
+        raise ValueError(f"engine {engine} takes no strategy: only {' and '.join(ASKS_CHECK)} "
+                         "ask the arbitrary-counterexample oracle")
     if kind == CONSISTENT_AVOIDING:
         raise ValueError("strategy consistent-avoiding needs an avoid set, "
                          "which the command line cannot give")
@@ -227,12 +243,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_table(args) -> int:
+    text = _read("report", args.report)
     try:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read report {args.report}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"report {args.report} is not UTF-8: {exc}") from exc
+        doc = json.loads(text)
     except ValueError as exc:
         raise ValueError(f"report {args.report} is not JSON: {exc}") from exc
     except RecursionError as exc:  # a RuntimeError, raised past the recursion limit
@@ -261,20 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one synthesis run")
     run_p.add_argument("--config", help="flat key = value config file")
-    run_p.add_argument("--family", help="chain|rectangle|diagonal|gold")
+    run_p.add_argument("--family", help="|".join(FAMILIES))
     run_p.add_argument("--target", help="target spec (family-dependent)")
-    run_p.add_argument("--engine", help="cegis|mincegis|hcegis|positive-only|simulated-mincegis")
-    run_p.add_argument("--strategy",
-                       help="first-found|seeded-random|adversarial-max (cegis, simulated-mincegis)")
+    run_p.add_argument("--engine", help="|".join(ENGINES))
+    offered = (kind for kind in STRATEGIES if kind != CONSISTENT_AVOIDING)
+    run_p.add_argument("--strategy", help=f"{'|'.join(offered)} ({', '.join(ASKS_CHECK)})")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--budget", type=int)
     run_p.add_argument("--universe-bound", dest="universe_bound", type=int)
-    run_p.add_argument("--schedule", help="canonical|seeded-random|padded-seeded")
+    run_p.add_argument("--schedule", help="|".join(SCHEDULES))
     run_p.add_argument("--out", help="output directory (default: $CEGIS_LAB_LOG_DIR or .)")
     run_p.set_defaults(func=cmd_run)
 
     demo_p = sub.add_parser("demo", help="run a shipped demonstration")
-    demo_p.add_argument("name", help="theorem1|lemma1|lemma2|rectangle|gold")
+    demo_p.add_argument("name", help="|".join(DEMOS))
     demo_p.add_argument("--imax", type=int)
     demo_p.add_argument("--budget", type=int)
     demo_p.add_argument("--out")

@@ -171,7 +171,7 @@ CANONICAL = "canonical"
 SEEDED_RANDOM = "seeded-random"
 PADDED_SEEDED = "padded-seeded"
 
-_SCHEDULES = (CANONICAL, SEEDED_RANDOM, PADDED_SEEDED)
+SCHEDULES = (CANONICAL, SEEDED_RANDOM, PADDED_SEEDED)
 
 
 def trace_generate(
@@ -192,7 +192,7 @@ def trace_generate(
     ``Trace``), each iteration from a fresh RNG in the order of an eager
     pass, so every prefix is the same as that pass would give.
     """
-    if schedule not in _SCHEDULES:
+    if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule: {schedule}")
     if length < 0:
         raise ValueError(f"trace length must be nonnegative, got {length}")

@@ -30,6 +30,7 @@ POSITIVE_ONLY = "positive-only"
 SIMULATED_MINCEGIS = "simulated-mincegis"
 
 VARIANTS = (CEGIS, MINCEGIS, HCEGIS, POSITIVE_ONLY)
+ENGINES = VARIANTS + (SIMULATED_MINCEGIS,)  # every engine that `cegis-lab run` offers
 
 CONVERGED = "converged"
 STALLED = "stalled"

@@ -11,7 +11,6 @@ observable signature of non-identifiability in every separation demo here.
 from __future__ import annotations
 
 import random
-import re
 from inspect import signature
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -62,30 +61,32 @@ def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
     )
 
 
-_LINE_BREAK = re.compile(r"\r\n|[\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+def _cell(value) -> str:
+    """``str(value)`` on one line, with ``|`` written ``\\|`` and each line break
+    (what ``str.splitlines`` splits at) ``<br>``; the ``x`` keeps a trailing one."""
+    return "<br>".join((str(value).replace("|", r"\|") + "x").splitlines())[:-1]
 
 
 def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
     """A Markdown table's lines: ``header``, its rule, and one line per row,
-    each cell ``str(value)`` with ``|`` written ``\\|`` and each line break
-    (what ``str.splitlines`` splits at) ``<br>``."""
+    each cell written by ``_cell``."""
     def line(cells) -> str:
-        return "| " + " | ".join(_LINE_BREAK.sub("<br>", str(c).replace("|", r"\|"))
-                                 for c in cells) + " |"
+        return "| " + " | ".join(map(_cell, cells)) + " |"
     return [line(header), "|" + "---|" * len(header)] + [line(row) for row in rows]
 
 
 def report_markdown(report: dict) -> str:
     """A demo report (its ``title``, ``rows``, ``conclusion`` and ``passed``) as
     Markdown.  Every key is read with ``get``, so that a report written
-    elsewhere renders too, a missing value blank."""
+    elsewhere renders too, a missing value blank; the title, conclusion and
+    passed are written as a table's cells are, so each stays on its line."""
     keys = "family target variant seed status semantic_match queries counterexamples".split()
     header = "family target variant seed status match queries cexs".split()
-    lines = [f"# {report.get('title', '')}", ""]
+    lines = [f"# {_cell(report.get('title', ''))}", ""]
     lines += markdown_table(header, ([row.get(k, "") for k in keys]
                                      for row in report.get("rows", [])))
-    lines += ["", f"**Conclusion**: {report.get('conclusion', '')}",
-              f"**Passed**: {report.get('passed', '')}", ""]
+    lines += ["", f"**Conclusion**: {_cell(report.get('conclusion', ''))}",
+              f"**Passed**: {_cell(report.get('passed', ''))}", ""]
     return "\n".join(lines)
 
 

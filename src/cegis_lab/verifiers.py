@@ -19,7 +19,7 @@ SEEDED_RANDOM = "seeded-random"
 ADVERSARIAL_MAX = "adversarial-max"
 CONSISTENT_AVOIDING = "consistent-avoiding"
 
-_KINDS = (FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX, CONSISTENT_AVOIDING)
+STRATEGIES = (FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX, CONSISTENT_AVOIDING)
 
 
 class StrategyInfeasibleError(RuntimeError):
@@ -33,7 +33,7 @@ class CexStrategy:
     __slots__ = ("kind", "seed", "avoid")
 
     def __init__(self, kind: str = FIRST_FOUND, seed: int = 0, avoid: frozenset = frozenset()):
-        if kind not in _KINDS:
+        if kind not in STRATEGIES:
             raise ValueError(f"unknown strategy kind: {kind}")
         self.kind = kind
         self.seed = seed

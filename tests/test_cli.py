@@ -38,7 +38,9 @@ def test_run_chain_cegis_exit_and_log(tmp_path):
     assert len(lines) == 8  # conjectures chain[0]..chain[6] plus the freeze line
     assert sum(1 for l in lines if l["event"] == "conjecture") == 7
     assert sum(1 for l in lines if l["event"] == "freeze") == 1
-    summary = json.loads((tmp_path / "chain-cegis-5.summary.json").read_text())
+    text = (tmp_path / "chain-cegis-5.summary.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert summary["verdict"] == "converged"
     assert summary["semantic_match"] is True
     assert summary["final"] == "chain[5]"
@@ -186,6 +188,8 @@ DEMO_HEADER = "| family | target | variant | seed | status | match | queries | c
 ROW_KEYS = ("family", "target", "variant", "seed", "status", "semantic_match", "queries",
             "counterexamples")
 JSON_TEXT = st.text(max_size=8) | st.sampled_from(["|", "a | b", "|---|", "\n"])
+# Text that holds line breaks: each separator str.splitlines splits at, trailing too.
+BROKEN_TEXT = st.text(alphabet="\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029|a", max_size=6)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
@@ -199,15 +203,17 @@ REPORT_ROWS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(doc=st.fixed_dictionaries({}, optional={
-    "title": JSON_VALUES, "rows": REPORT_ROWS | JSON_VALUES, "conclusion": JSON_VALUES,
-    "passed": JSON_VALUES, "verdict": JSON_VALUES,
+    "title": BROKEN_TEXT | JSON_VALUES, "rows": REPORT_ROWS | JSON_VALUES,
+    "conclusion": BROKEN_TEXT | JSON_VALUES, "passed": BROKEN_TEXT | JSON_VALUES,
+    "verdict": JSON_VALUES,
 }))
 def test_table_never_shows_a_traceback(doc):
     """Any JSON object, with or without rows, renders (exit 0, nothing on
     stderr) or is refused with one ``error:`` line (exit 1, nothing on stdout).
     A rendered table has one line per report row, or per key of a run summary,
     each with the header's cell count: a ``|`` or a line break in a value
-    stays inside its cell."""
+    stays inside its cell.  A report's heading is one line, and so are its
+    conclusion and its passed line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -215,14 +221,20 @@ def test_table_never_shows_a_traceback(doc):
     if code == 0:
         assert err == ""
         lines = out.splitlines()
-        if "rows" in doc:  # a demo report: its table ends at a blank line
-            header, rows, after = DEMO_HEADER, doc["rows"], [""]
-        else:  # a run summary: its table is the whole output
-            header, rows, after = "| field | value |", doc, []
+        if "rows" in doc:  # a demo report: its heading is one line
+            header, rows = DEMO_HEADER, doc["rows"]
+            assert lines[0].startswith("# ") and lines[1:3] == ["", header]
+        else:
+            header, rows = "| field | value |", doc
         cells = len(header.split(" | "))
         top = lines.index(header) + 2
         assert lines[top - 1] == "|" + "---|" * cells
-        assert lines[top + len(rows):top + len(rows) + 1] == after
+        after = lines[top + len(rows):]
+        if "rows" in doc:  # the table ends at a blank line, and two one-line values follow
+            assert len(after) == 3 and after[0] == ""
+            assert after[1].startswith("**Conclusion**: ") and after[2].startswith("**Passed**: ")
+        else:  # a run summary: its table is the whole output
+            assert after == []
         for line in lines[top:top + len(rows)]:
             assert line.startswith("| ") and line.endswith(" |")
             assert len(re.split(r"(?<!\\)\|", line)) == cells + 2  # unescaped pipes
@@ -375,9 +387,23 @@ def test_the_chain_learner_has_no_cap(tmp_path, capsys, argv, code, queries):
 
 def test_unknown_config_key_is_named(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("family = chain\ntarget = 5\nbudgett = 3\n")
+    cfg.write_text("family = chain\ntarget = 5\nzeta = 1\nbudgett = 3\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 1
-    assert "unknown key budgett" in capsys.readouterr().err
+    assert "unknown key budgett" in capsys.readouterr().err  # the first of two, sorted
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("run", "--family", "nosuch", "--target", "5"), "unknown family: nosuch"),
+    (("run", "--family", "chain"), "run requires --family and --target"),
+    (("run", "--target", "5"), "run requires --family and --target"),
+    (CHAIN7 + ("mincegis", "--strategy", "adversarial-max"), "engine mincegis takes no strategy: "
+     "only cegis and simulated-mincegis ask the arbitrary-counterexample oracle"),
+    (("run", "--config", "{tmp}/no-equals.cfg"), "{tmp}/no-equals.cfg:2: expected key = value"),
+])
+def test_an_error_names_its_fault(tmp_path, argv, message):
+    (tmp_path / "no-equals.cfg").write_text("family = chain\ntarget 5\n")
+    code, stdout, stderr = invoke([a.format(tmp=tmp_path) for a in argv])
+    assert (code, stdout, stderr) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 def test_repeated_config_key_is_named(tmp_path):
@@ -430,6 +456,27 @@ def test_unparsable_flag_exits_1_not_the_stalled_code(tmp_path, capsys):
 def test_help_exits_0_with_the_usage_on_stdout(argv, usage):
     code, stdout, stderr = invoke(list(argv))
     assert code == 0 and stderr == "" and stdout.startswith(usage)
+
+
+def test_each_help_list_is_the_list_that_decides(monkeypatch):
+    """The help lists the families, engines, strategies, schedules and demos in
+    the words it always has; cli.DEMOS holds harness.DEMOS's names, in order,
+    and _setup accepts each of cli.FAMILIES."""
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps the help at the terminal's width
+    helps = {command: invoke([command, "--help"])[1] for command in ("run", "demo")}
+    for command, words in (
+            ("run", "chain|rectangle|diagonal|gold"),
+            ("run", "cegis|mincegis|hcegis|positive-only|simulated-mincegis"),
+            ("run", "first-found|seeded-random|adversarial-max (cegis, simulated-mincegis)"),
+            ("run", "canonical|seeded-random|padded-seeded"),
+            ("demo", "theorem1|lemma1|lemma2|rectangle|gold")):
+        assert f"  {words}\n" in helps[command]
+    assert cli.DEMOS == tuple(harness.DEMOS)
+    targets = {"chain": "5", "rectangle": "-1,1,-1,1", "diagonal": "diag:3", "gold": "full"}
+    assert cli.FAMILIES == tuple(targets)
+    for name, target in targets.items():
+        _, language, _ = cli._setup(name, None, target)
+        assert language.descriptor.startswith(name[:4])
 
 
 def test_chain_universe_bound_is_used(tmp_path):
@@ -502,6 +549,21 @@ def test_strategy_is_accepted_where_it_is_used(tmp_path, engine, strategy):
 def test_seed_is_accepted_where_it_is_read(tmp_path, flags):
     argv = ("run", "--family", "chain", "--target", "5", "--seed", "9", *flags)
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
+
+def test_a_seeded_schedule_without_a_seed_runs_seed_0(tmp_path):
+    logs = {}
+    for seed in (None, "0", "1"):
+        out = tmp_path / str(seed)
+        flags = () if seed is None else ("--seed", seed)
+        assert run_cli(*CHAIN5, "--schedule", "padded-seeded", *flags, "--out", str(out)) == 0
+        logs[seed] = (out / "chain-cegis-5.jsonl").read_bytes()
+    assert logs[None] == logs["0"] != logs["1"]
+
+
+def test_a_budget_of_sys_maxsize_is_accepted(tmp_path):
+    # The largest budget a trace's length can take; one more is bad input.
+    assert run_cli(*CHAIN5, "--budget", str(sys.maxsize), "--out", str(tmp_path)) == 0
 
 
 @pytest.mark.parametrize("name,content", [
@@ -578,7 +640,11 @@ def tree(root: Path) -> dict:
     (CHAIN5 + ("--out", "{tmp}/afile"), None),
     (CHAIN5 + ("--out", "{tmp}/afile/sub"), None),
     (CHAIN5, "{tmp}/afile"),
-], ids=["config-not-utf8", "out-is-a-file", "out-under-a-file", "log-dir-is-a-file"])
+    # A name too long for the file system, under a directory that is made first.
+    (CHAIN5 + ("--out", "{tmp}/new/" + "x" * 300), None),
+    (("demo", "gold", "--out", "{tmp}/new/deeper/" + "x" * 300), None),
+], ids=["config-not-utf8", "out-is-a-file", "out-under-a-file", "log-dir-is-a-file",
+        "out-name-too-long", "demo-out-name-too-long"])
 def test_unreadable_config_or_output_dir_exits_1_with_a_message(
         tmp_path, capsys, monkeypatch, argv, log_dir):
     (tmp_path / "latin1.cfg").write_bytes(b"family = chain\ntarget = 5\n# caf\xe9\n")

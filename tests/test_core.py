@@ -94,11 +94,19 @@ def test_pair_decode_roundtrip_property(code):
 
 
 def test_pair_rejects_negative_and_oversized():
-    with pytest.raises(ValueError, match="pairing is defined on naturals only"):
-        pair_encode(-1, 0)
+    for args in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="pairing is defined on naturals only"):
+            pair_encode(*args)
     with pytest.raises(ValueError, match=re.escape(
             "pairing argument exceeds supported range: (0, 2199023255552)")):
         pair_encode(0, 1 << 41)
+    # Each argument may be 2**40, and no more.
+    top = 1 << 40
+    assert pair_encode(top, 0) == top * (top + 1) // 2
+    assert pair_encode(0, top) == top * (top + 1) // 2 + top
+    for args in ((top + 1, 0), (0, top + 1)):
+        with pytest.raises(ValueError, match="pairing argument exceeds supported range"):
+            pair_encode(*args)
     with pytest.raises(ValueError, match="pair codes are naturals"):
         pair_decode(-1)
 
@@ -132,6 +140,7 @@ def test_explicit_language_membership_and_equality():
     b = explicit_language({3, 2, 1}, universe_bound=10)
     c = explicit_language({1, 2}, universe_bound=10)
     assert a.contains(2) and not a.contains(4)
+    assert not a.contains(-1)  # below every universe: not a member, and no negative shift
     assert semantically_equal(a, b)
     assert not semantically_equal(a, c)
 
@@ -169,6 +178,7 @@ def test_trace_zero_length():
     fam = ChainFamily()
     assert trace_generate(fam.language(3), "padded-seeded", seed=5, length=0).entries == ()
     for schedule in ("canonical", "seeded-random", "padded-seeded"):
+        assert trace_generate(fam.language(3), schedule).entries == ()  # the default length
         with pytest.raises(ValueError, match="trace length must be nonnegative, got -1"):
             trace_generate(fam.language(3), schedule, seed=5, length=-1)
 
@@ -179,8 +189,10 @@ def test_trace_rejects_a_negative_seed():
     fam = ChainFamily()
     for schedule in ("canonical", "seeded-random", "padded-seeded"):
         for length in (0, 5):
-            with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
-                trace_generate(fam.language(3), schedule, seed=-3, length=length)
+            for seed in (-3, -1):
+                with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+                    trace_generate(fam.language(3), schedule, seed=seed, length=length)
+            assert len(trace_generate(fam.language(3), schedule, seed=0, length=length)) == length
 
 
 def test_trace_entries_are_members_or_bot():
@@ -211,6 +223,11 @@ def test_trace_deterministic_per_seed():
     t3 = trace_generate(l5, "padded-seeded", seed=12, length=50)
     assert t1.entries == t2.entries
     assert t1.entries != t3.entries
+    # The default seed is 0: it gives seed 0's entries, which seed 1's are not.
+    for schedule in ("seeded-random", "padded-seeded"):
+        default = trace_generate(l5, schedule, length=50).entries
+        assert default == trace_generate(l5, schedule, seed=0, length=50).entries
+        assert default != trace_generate(l5, schedule, seed=1, length=50).entries
 
 
 def test_trace_empty_language_rejected():

@@ -1,6 +1,9 @@
 """Harness verdicts, demos, and reports."""
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from cegis_lab import core, harness
 from cegis_lab.core import pair_encode, trace_generate
@@ -338,3 +341,31 @@ def test_demo_rectangle():
 
 def test_demo_registry_complete():
     assert set(DEMOS) == {"theorem1", "lemma1", "lemma2", "rectangle", "gold"}
+
+
+# ---------------------------------------------------------------------------
+# The table writer
+
+# What markdown_table wrote a line break as before it used str.splitlines:
+# each separator that splitlines splits at, by hand, with \r\n as one.
+LINE_BREAK = re.compile(r"\r\n|[\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")
+SEPARATORS = "\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+CELL_TEXT = (st.text(alphabet=SEPARATORS + "|\x00ab", max_size=8)
+             | st.sampled_from(["a\r\n", "a\x85", "a\u2028", "\r\n", "a\r\n\r\n", "|\r"]))
+
+
+@given(cells=st.lists(CELL_TEXT | st.integers() | st.none(), min_size=1, max_size=4))
+def test_markdown_table_cells_equal_the_regex_rule(cells):
+    """Each cell is ``str(value)`` with ``|`` written ``\\|`` and each line break
+    ``<br>``, a trailing one included."""
+    expected = [LINE_BREAK.sub("<br>", str(c).replace("|", r"\|")) for c in cells]
+    header, rule, row = harness.markdown_table(["h"] * len(cells), [cells])
+    assert row == "| " + " | ".join(expected) + " |"
+    assert "\n" not in row and rule == "|" + "---|" * len(cells)
+
+
+def test_report_markdown_writes_the_title_conclusion_and_passed_as_cells():
+    report = {"title": "a\nb|c", "rows": [], "conclusion": "d\r\n", "passed": "e\x85"}
+    lines = harness.report_markdown(report).splitlines()
+    assert lines[:2] == ["# a<br>b\\|c", ""]
+    assert lines[-2:] == ["**Conclusion**: d<br>", "**Passed**: e<br>"]

@@ -132,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(root)
     for part in ("src", "tests"):
         shutil.copytree(REPO / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(REPO / "pyproject.toml", root)  # test_cli.py reads it
     source = (REPO / args.module).read_text(encoding="utf-8")
     target = root / args.module
     target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
