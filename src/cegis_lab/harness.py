@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from inspect import signature
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     CANONICAL,
@@ -47,18 +47,17 @@ from .logio import run_jsonl
 from .verifiers import CONSISTENT_AVOIDING, CexStrategy, StrategyInfeasibleError
 
 
-class HarnessVerdict(NamedTuple):
-    status: str
-    converged_at: Optional[int]
-    semantic_match: bool
+def convergence_verdict(run: EngineRun, target: Language) -> EngineRun:
+    """The run, its ``semantic_match`` read against ``target``: the engine's
+    own status and convergence point are the verdict."""
+    return run._replace(semantic_match=semantically_equal(run.final.language, target))
 
 
-def convergence_verdict(run: EngineRun, target: Language) -> HarnessVerdict:
-    """The engine's own status and convergence point, and whether the final
-    conjecture equals ``target``."""
-    return HarnessVerdict(
-        run.status, run.converged_at, semantically_equal(run.final.language, target)
-    )
+# A report row's keys, in the order of its table's columns; ``key:heading``
+# names a column whose heading is not its key.
+_COLUMNS = ("family", "target", "variant", "seed", "status", "semantic_match:match", "queries",
+            "counterexamples:cexs")
+_ROW_KEYS = tuple(column.split(":")[0] for column in _COLUMNS)
 
 
 def _cell(value) -> str:
@@ -80,10 +79,9 @@ def report_markdown(report: dict) -> str:
     Markdown.  Every key is read with ``get``, so that a report written
     elsewhere renders too, a missing value blank; the title, conclusion and
     passed are written as a table's cells are, so each stays on its line."""
-    keys = "family target variant seed status semantic_match queries counterexamples".split()
-    header = "family target variant seed status match queries cexs".split()
+    header = [column.split(":")[-1] for column in _COLUMNS]
     lines = [f"# {_cell(report.get('title', ''))}", ""]
-    lines += markdown_table(header, ([row.get(k, "") for k in keys]
+    lines += markdown_table(header, ([row.get(key, "") for key in _ROW_KEYS]
                                      for row in report.get("rows", [])))
     lines += ["", f"**Conclusion**: {_cell(report.get('conclusion', ''))}",
               f"**Passed**: {_cell(report.get('passed', ''))}", ""]
@@ -91,9 +89,9 @@ def report_markdown(report: dict) -> str:
 
 
 def _row(family: str, target: Language, variant: str, run: EngineRun, **extra) -> dict:
-    return {"family": family, "target": target.descriptor, "variant": variant, "seed": None,
-            "status": run.status, "semantic_match": run.semantic_match, "queries": run.queries,
-            "counterexamples": run.cex_count, **extra}
+    values = (family, target.descriptor, variant, None, run.status, run.semantic_match,
+              run.queries, run.cex_count)
+    return dict(zip(_ROW_KEYS, values), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +156,10 @@ def demo_theorem1() -> dict:
             for seed in (11, 23, 37):
                 trace = trace_generate(target, PADDED_SEEDED, seed=seed, length=length)
                 direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, length)
-                rows.append({
-                    "family": name, "target": target.descriptor, "variant": "mincegis-vs-sim",
-                    "seed": seed, "status": f"{direct.status}/{sim.status}",
-                    "semantic_match": equal, "queries": direct.queries + sim.queries,
-                    "counterexamples": direct.cex_count + sim.cex_count, "equal_finals": equal,
-                })
+                values = (name, target.descriptor, "mincegis-vs-sim", seed,
+                          f"{direct.status}/{sim.status}", equal, direct.queries + sim.queries,
+                          direct.cex_count + sim.cex_count)
+                rows.append(dict(zip(_ROW_KEYS, values), equal_finals=equal))
 
     n = len(rows)
     agree = sum(1 for r in rows if r["equal_finals"])
@@ -243,12 +239,10 @@ def demo_lemma2(budget: int = 120) -> dict:
         ((pair_encode(0, 10),), 12, 17),
     ]
     for base, z1, z2 in pair_specs:
-        report = indistinguishability_demo(base, z1, z2, budget=40)
-        rows.append({
-            "family": "diagonal", "target": report["pair"], "variant": CEGIS, "seed": None,
-            "status": "indistinguishable" if report["logs_identical"] else "distinguished",
-            "semantic_match": False, "queries": 0, "counterexamples": 0, **report,
-        })
+        report = indistinguishability_demo(base, z1, z2)
+        status = "indistinguishable" if report["logs_identical"] else "distinguished"
+        values = ("diagonal", report["pair"], CEGIS, None, status, False, 0, 0)
+        rows.append(dict(zip(_ROW_KEYS, values), **report))
         ok = ok and report["logs_identical"] and report["mismatched"] >= 1
 
     conclusion = (

@@ -3,6 +3,7 @@
 
 from collections import deque
 from functools import cached_property
+from hashlib import sha512
 from itertools import count, islice
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
@@ -390,3 +391,94 @@ def simulate_by_index(
         records, p_last, status, last_change if status == CONVERGED else None, queries, 0, cexs,
         stability_window, right, SimState(lce, p_sim, mu, tuple(backlog), tau_done),
     )
+
+
+class MT19937:
+    """The Mersenne Twister, written from the reference code ``mt19937ar.c``
+    of M. Matsumoto and T. Nishimura ("Mersenne Twister: A 623-dimensionally
+    equidistributed uniform pseudo-random number generator", ACM TOMACS
+    8(1), 1998), with the seeding and the draws of Python's
+    ``random.Random`` that the package's bytes rest on, so that the tests
+    check those bytes against the published generator and not against the
+    interpreter that runs them:
+
+    - an int seed: ``init_by_array`` over the 32-bit words of its absolute
+      value, least significant first (one word 0 for seed 0);
+    - a str seed (version 2): its UTF-8 bytes followed by their SHA-512
+      digest, read as one big-endian int seed;
+    - ``getrandbits(k)``, k <= 32: the top k bits of one output;
+    - ``random()``: 27 and 26 top bits of two outputs, as 53 bits over 2**53;
+    - ``randbelow(n)``: ``getrandbits(n.bit_length())`` until it is below n,
+      which ``choice`` and the shuffle use.
+    """
+
+    N, M = 624, 397
+
+    def __init__(self, seed=None):
+        if isinstance(seed, str):
+            data = seed.encode()
+            seed = int.from_bytes(data + sha512(data).digest(), "big")
+        if seed is not None:
+            n = abs(seed)
+            self.init_by_array([n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)])
+
+    def init_genrand(self, s: int) -> None:
+        mt = [s & 0xFFFFFFFF]
+        for i in range(1, self.N):
+            mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+        self.mt, self.index = mt, self.N
+
+    def init_by_array(self, key: Sequence[int]) -> None:
+        self.init_genrand(19650218)
+        mt, n = self.mt, self.N
+        i, j = 1, 0
+        for _ in range(max(n, len(key))):
+            mt[i] = ((mt[i] ^ (mt[i - 1] ^ mt[i - 1] >> 30) * 1664525) + key[j] + j) & 0xFFFFFFFF
+            i, j = i + 1, (j + 1) % len(key)
+            if i >= n:
+                mt[0], i = mt[n - 1], 1
+        for _ in range(n - 1):
+            mt[i] = ((mt[i] ^ (mt[i - 1] ^ mt[i - 1] >> 30) * 1566083941) - i) & 0xFFFFFFFF
+            i += 1
+            if i >= n:
+                mt[0], i = mt[n - 1], 1
+        mt[0] = 0x80000000  # the most significant bit is 1: a nonzero initial array
+
+    def genrand_uint32(self) -> int:
+        """The next tempered 32-bit output."""
+        mt, n = self.mt, self.N
+        if self.index >= n:
+            for k in range(n):  # in place, as the reference's three loops are
+                y = mt[k] & 0x80000000 | mt[(k + 1) % n] & 0x7FFFFFFF
+                mt[k] = mt[(k + self.M) % n] ^ y >> 1 ^ (0x9908B0DF if y & 1 else 0)
+            self.index = 0
+        y = mt[self.index]
+        self.index += 1
+        y ^= y >> 11
+        y ^= y << 7 & 0x9D2C5680
+        y ^= y << 15 & 0xEFC60000
+        return y ^ y >> 18
+
+    def getrandbits(self, k: int) -> int:
+        if not 0 <= k <= 32:
+            raise ValueError("the reference draws at most 32 bits at a time")
+        return self.genrand_uint32() >> 32 - k if k else 0
+
+    def random(self) -> float:
+        a, b = self.genrand_uint32() >> 5, self.genrand_uint32() >> 6
+        return (a * 67108864 + b) / 9007199254740992
+
+    def randbelow(self, n: int) -> int:
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def choice(self, seq: Sequence):
+        return seq[self.randbelow(len(seq))]
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cegis_lab import engines
+from cegis_lab import engines, harness
 from cegis_lab.core import (
     BOT,
     Program,
@@ -74,6 +74,17 @@ def test_chain_step_examples():
     assert gen.step(after, 9, None) is after
 
 
+def test_the_chain_climb_reaches_the_universe_bound_and_stays_there():
+    # B = 4: chain[4] is the first conjecture whose mask is all of [0, B].
+    fam = ChainFamily(max_index=2)
+    gen, bound = chain_generalizer(fam), fam.universe_bound
+    program, masks = gen.initial, []
+    for _ in range(bound + 2):
+        program = gen.step(program, 0, None)
+        masks.append(program.language.mask)
+    assert masks == [(1 << min(j, bound) + 1) - 1 for j in range(1, bound + 3)]
+
+
 def test_chain_cex_against_bottom_is_inconsistent():
     gen = chain_generalizer(ChainFamily())
     with pytest.raises(EngineError, match=re.escape("counterexample against chain[0]")):
@@ -122,6 +133,28 @@ def test_rectangle_cex_inside_hull_is_inconsistent():
 _GRID4 = RectangleFamily(grid_bound=4)
 _COORD = st.integers(-4, 4)
 _SPAN = st.tuples(_COORD, _COORD).map(sorted)  # one wide when both ends meet
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8))
+def test_the_rectangle_hull_is_the_bounding_box_of_the_positives(data, points):
+    """After each positive example the learner's hull is the bounding box of
+    the positives seen and its bounds contain that box; a counterexample
+    drawn outside the box is outside the conjecture that it leaves."""
+    fam = RectangleFamily(grid_bound=4)
+    gen = rectangle_generalizer(fam)
+    program = gen.initial
+    for k, (x, y) in enumerate(points, 1):
+        xs, ys = [p[0] for p in points[:k]], [p[1] for p in points[:k]]
+        box = (min(xs), max(xs), min(ys), max(ys))
+        outside = [point_encode(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                   if not (box[0] <= a <= box[1] and box[2] <= b <= box[3])]
+        cex = data.draw(st.none() | st.sampled_from(outside)) if outside else None
+        program = gen.step(program, point_encode(x, y), cex)
+        assert program.aux.hull == box
+        ax, bx, ay, by = program.index
+        assert ax <= box[0] and box[1] <= bx and ay <= box[2] and box[3] <= by
+        assert cex is None or not program.language.contains(cex)
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,14 +631,15 @@ def test_theorem1_simulation_stops_where_direct_mincegis_stops():
 def test_theorem1_pair_simulation_stops_at_the_direct_budget():
     # With no bound of its own, the simulation replayed past the direct run's
     # budget: at every budget from 1 to 21 it reported converged after 22
-    # entries, where the direct run stopped short of the target.
+    # entries, where the direct run stopped short of the target.  A budget of
+    # 0 or below reads no entry.
     fam = ChainFamily()
     target, gen = fam.language(20), chain_generalizer(fam)
     trace = trace_generate(target, "padded-seeded", seed=11, length=600)
     wrong = []
-    for direct_budget in range(1, 31):
+    for direct_budget in range(-1, 31):
         direct, sim, equal = theorem1_pair(target, gen, trace, direct_budget, 600)
-        if not equal or sim.sim_state.tau_done_len > direct_budget:
+        if not equal or sim.sim_state.tau_done_len > max(direct_budget, 0):
             wrong.append((direct_budget, direct.status, sim.status, sim.sim_state.tau_done_len))
     assert wrong == []
 
@@ -658,6 +692,131 @@ def test_the_sweep_loop_equals_the_micro_step_loop(case, kind, schedule, seed, d
         expected.mu, expected.backlog, expected.tau_done_len, expected.p_sim.descriptor())
 
 
+def theorem1_price(direct, sim, order):
+    """Theorem 1's price, read from a ``theorem1_pair``: what direct MinCEGIS
+    refutes, and what its simulation pays for it.
+
+    Returns ``(refuted, swept, pending, probes)``: the distinct (conjecture,
+    minimal counterexample) pairs of the direct run's conjecture records, in
+    order of first refutation; the (conjecture, counterexample) pair of each
+    completed probe sweep, in order; the conjecture of a sweep that the
+    simulation's budget cut short, or None; and the sum of rank(c) + 1 over
+    the swept counterexamples c, plus mu, rank(c) being c's place in
+    ``order``.  A conjecture is named by its descriptor, which names one
+    language in every family the tests build."""
+    rank = {e: r for r, e in enumerate(order)}
+    refuted = list(dict.fromkeys((r.candidate, r.cex) for r in direct.iterations
+                                 if r.event == "conjecture" and r.cex is not None))
+    swept, conjecture = [], None
+    for record in sim.iterations:
+        if record.event == "conjecture":
+            conjecture = record.candidate
+        elif record.event == "probe" and record.cex is not None:
+            swept.append((conjecture, record.cex))
+    pending = None if sim.sim_state.p_sim is sim.final else conjecture
+    probes = sum(rank[c] + 1 for _, c in swept) + sim.sim_state.mu
+    return refuted, swept, pending, probes
+
+
+def _order(generalizer):
+    base = generalizer.initial.language
+    return range(base.universe_bound + 1) if base.ordering is None else base.ordering.order
+
+
+def deaf(generalizer):
+    """The learner with every counterexample hidden from its step."""
+    def step(prev, entry, cex, probe=None):
+        return generalizer.step(prev, entry, None, probe)
+    return Generalizer(generalizer.initial, step)
+
+
+@st.composite
+def theorem1_price_cases(draw):
+    """A learner, its target and its element order: a generated finite family
+    with its enumeration learner, deaf or not, or the chain or rectangle
+    learner.  The deaf learner conjectures a refuted language again, so the
+    simulation finds its minimal counterexample cached (Case 1.1.1)."""
+    kind = draw(st.sampled_from(["finite", "deaf", "chain", "rectangle"]))
+    if kind in ("finite", "deaf"):
+        gen, _, target = draw(finite_families())
+        gen = deaf(gen) if kind == "deaf" else gen
+    elif kind == "chain":
+        gen, target = THEOREM1_GENS["chain"], THEOREM1_CHAIN.language(draw(st.integers(0, 12)))
+    else:
+        ax, bx = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+        ay, by = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+        gen, target = THEOREM1_GENS["rectangle"], THEOREM1_RECT.language(ax, bx, ay, by)
+    return gen, target, _order(gen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=theorem1_price_cases(),
+    kind=st.sampled_from([FIRST_FOUND, SEEDED_RANDOM, ADVERSARIAL_MAX]),
+    schedule=st.sampled_from(["canonical", "seeded-random", "padded-seeded"]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_theorem1_price(case, kind, schedule, seed, data):
+    """What the simulation pays for Theorem 1, exactly.  It completes one
+    probe sweep for each distinct (conjecture, minimal counterexample) pair
+    that direct MinCEGIS refutes, in the order the direct run first refutes
+    them, and no other sweep; its probe records number the sum of rank(c) + 1
+    over those counterexamples c, plus mu; and its queries are its conjecture
+    and probe records.  A simulation cut by its own budget has swept the
+    direct run's first refutations, and the sweep it cut is the next one,
+    mu probes into its counterexample's rank."""
+    gen, target, order = case
+    if schedule == "canonical" and not target.mask:
+        schedule = "padded-seeded"  # the canonical schedule needs a member
+    length = 4 * len(order) + 40
+    trace = trace_generate(target, schedule, seed=seed, length=length)
+    direct_budget = data.draw(st.just(length) | st.integers(0, length), label="direct_budget")
+    direct, sim, _ = theorem1_pair(target, gen, trace, direct_budget, length)
+    # Half the draws cut the simulation short, many of them mid-sweep.
+    read = sum(r.event != "replay" for r in sim.iterations)
+    sim_budget = data.draw(st.just(length) | st.integers(0, read), label="sim_budget")
+    if sim_budget < length:
+        direct, sim, _ = theorem1_pair(target, gen, trace, direct_budget, sim_budget)
+    refuted, swept, pending, probes = theorem1_price(direct, sim, order)
+
+    events = [r.event for r in sim.iterations]
+    assert events.count("probe") == probes
+    assert sim.queries == events.count("conjecture") + events.count("probe")
+    assert swept == refuted[:len(swept)]
+    if events.count("conjecture") + events.count("probe") < min(sim_budget, length):
+        assert swept == refuted and pending is None  # the simulation was not cut
+    state = sim.sim_state
+    if pending is None:
+        assert state.mu == 0
+    else:
+        assert len(swept) < len(refuted)
+        candidate, cex = refuted[len(swept)]
+        assert pending == candidate and state.mu <= order.index(cex)
+        assert state.p_sim.index == ("probe", order[state.mu])
+
+
+def test_theorem1_price_on_the_demo_matrix():
+    """The 96 cases of `demo theorem1`, which the benchmark's seed-0 theorem1
+    workload runs too: 276 sweeps and 14,304 probe records, the count that
+    CI's traced run pins."""
+    chain, rect = ChainFamily(), RectangleFamily()
+    rects = [(-1, 1, -1, 1)] + harness._random_rectangles(random.Random(7), 10)
+    cases = [(chain_generalizer(chain), [chain.language(i) for i in range(21)], 300, 600),
+             (rectangle_generalizer(rect), [rect.language(*b) for b in rects], 2000, 60_000)]
+    sweeps = probes = 0
+    for gen, targets, direct_budget, length in cases:
+        for target in targets:
+            for seed in (11, 23, 37):
+                trace = trace_generate(target, "padded-seeded", seed=seed, length=length)
+                direct, sim, _ = theorem1_pair(target, gen, trace, direct_budget, length)
+                refuted, swept, pending, price = theorem1_price(direct, sim, _order(gen))
+                assert swept == refuted and pending is None
+                assert price == sum(r.event == "probe" for r in sim.iterations)
+                sweeps, probes = sweeps + len(swept), probes + price
+    assert (sweeps, probes) == (276, 14_304)
+
+
 # ---------------------------------------------------------------------------
 # Lemmas 1 and 2 and Gold's observation as properties
 
@@ -697,8 +856,7 @@ def test_run_engine_equals_the_reference_loop(
     else:
         gen, _, target = data.draw(finite_families(universal=source == "deaf"))
         if source == "deaf":
-            gen = Generalizer(gen.initial, lambda prev, entry, cex, probe=None, step=gen.step:
-                              step(prev, entry, None, probe))
+            gen = deaf(gen)
     if schedule == "canonical" and not target.mask:
         schedule = "padded-seeded"  # the canonical schedule needs a member
     trace = trace_generate(target, schedule, seed=seed, length=length)

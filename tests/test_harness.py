@@ -83,7 +83,8 @@ README_RUNS = {
 @pytest.mark.parametrize("family", sorted(README_RUNS))
 def test_verdict_is_the_engine_status(family, engine, budget):
     """Runs set up as `cegis-lab run` sets them up: the harness verdict is the
-    engine's own, and a run has a convergence point exactly when it converged."""
+    engine's run itself, and a run has a convergence point exactly when it
+    converged."""
     fam, make_generalizer, make_target = README_RUNS[family]
     target = make_target(fam)
     budget = budget or default_budget(target)
@@ -96,8 +97,7 @@ def test_verdict_is_the_engine_status(family, engine, budget):
         run = run_engine(engine, target, trace, make_generalizer(fam),
                          budget=budget, stability_window=window)
     assert (run.status == CONVERGED) == (run.converged_at is not None)
-    verdict = convergence_verdict(run, target)
-    assert tuple(verdict) == (run.status, run.converged_at, run.semantic_match)
+    assert convergence_verdict(run, target) == run
 
 
 def test_default_knobs_scale_with_target():
@@ -106,6 +106,10 @@ def test_default_knobs_scale_with_target():
     assert default_stability_window(small) == 6
     assert default_stability_window(large) == 100
     assert default_budget(small) == 10 * small.universe_bound
+    # The floors: an empty target still has a window of 1, and B = 0 a budget of 10.
+    empty, point = core.Language(0, 5, "empty"), core.Language(1, 0, "point")
+    assert default_stability_window(empty) == 1 and default_stability_window(point) == 2
+    assert default_budget(point) == 10
 
 
 # ---------------------------------------------------------------------------

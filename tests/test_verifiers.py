@@ -27,7 +27,7 @@ from cegis_lab.verifiers import (
     hcheck,
     mincheck,
 )
-from reference import explicit_language, intersect_singleton, ordering_key, smpl
+from reference import MT19937, explicit_language, intersect_singleton, ordering_key, smpl
 
 
 def brute_difference(candidate, target):
@@ -315,7 +315,7 @@ def test_bitmask_oracles_equal_frozenset_brute_force(data):
     expected = {FIRST_FOUND: diff[:1], ADVERSARIAL_MAX: diff[-1:], CONSISTENT_AVOIDING:
                 [d for d in diff if d not in avoid][:1]}
     if diff:
-        pick = random.Random(f"{seed}:{len(diff)}:{diff[0]}:{diff[-1]}").choice(diff)
+        pick = MT19937(f"{seed}:{len(diff)}:{diff[0]}:{diff[-1]}").choice(diff)
         expected[SEEDED_RANDOM] = [pick]
     for kind in (FIRST_FOUND, ADVERSARIAL_MAX, CONSISTENT_AVOIDING, SEEDED_RANDOM):
         strategy = CexStrategy(kind, seed=seed, avoid=avoid)

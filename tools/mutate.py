@@ -15,16 +15,23 @@ that passes on the program and fails on a mutant kills it, and a mutant
 no test kills is either a gap in the tests or equivalent to the program.
 
 Every mutant runs in a copy of the repository under ``--scratch``, never in
-the checkout, with ``pytest -x`` on the given test files and a per-mutant
-timeout.  The module is first written back unmutated (``ast.unparse``), and
-the tests must pass on that copy.  The result goes to ``--out`` as JSON:
-the killed, survived and timed-out counts, and each survivor with the
-one-line argument that it is equivalent, carried over from the previous
-file by the survivor's key (null until someone writes one).
+the checkout, with ``pytest -x`` on the given tests and a per-mutant
+timeout.  A test is a file or a pytest node ID (``file::test``), so that a
+module's mutants can meet the tests of other modules that pin it.  The
+module is first written back unmutated (``ast.unparse``), and the tests
+must pass on that copy.  The result goes to ``--out`` as JSON: the killed,
+survived and timed-out counts, and each survivor with the one-line argument
+that it is equivalent, carried over from the previous file by the
+survivor's key (null until someone writes one).
 
     python3 tools/mutate.py src/cegis_lab/verifiers.py \\
         tests/test_verifiers.py tests/test_acceptance.py \\
         --scratch /tmp/mutate --out tools/mutation-verifiers.json
+    python3 tools/mutate.py src/cegis_lab/engines.py \\
+        tests/test_engines.py tests/test_acceptance.py tests/test_harness.py \\
+        tests/test_cli.py::test_golden \\
+        tests/test_cli.py::test_simulation_sweep_that_never_refutes_exits_1 \\
+        --scratch /tmp/mutate --out tools/mutation-engines.json
 
 Uses only the standard library (and pytest with hypothesis for the tests
 themselves).  It is not part of the test suite, and CI does not run it.
@@ -121,7 +128,8 @@ def run_tests(root: Path, tests: list[str], timeout: float) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="the module to mutate, as a path in the repository")
-    parser.add_argument("tests", nargs="+", help="the test files that should kill its mutants")
+    parser.add_argument("tests", nargs="+",
+                        help="the test files or pytest node IDs that should kill its mutants")
     parser.add_argument("--scratch", required=True, help="a directory for the copy (emptied)")
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant")
